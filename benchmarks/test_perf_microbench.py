@@ -4,8 +4,11 @@ Unlike the figure benches (one-shot experiment regeneration), these use
 pytest-benchmark's normal multi-round timing so performance regressions
 in the substrate show up: BFS, the multilevel bipartition, the policy
 product-graph BFS, pair-fraction accumulation, biconnectivity, and the
-exact bipartite cover.
+exact bipartite cover.  ``test_perf_synthetic_as_paper_size`` is a
+one-shot wall-time guard on generating the paper-size AS graph.
 """
+
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.graph.flow import bipartite_vertex_cover_weight
 from repro.graph.partition import bisection_cut_size
 from repro.graph.traversal import bfs_distances
 from repro.hierarchy import link_value_from_entries, link_traversal_sets
+from repro.internet import ASGraphParams, synthetic_as_graph
 from repro.routing.policy import policy_dag
 from repro.routing.shortest import pair_edge_fractions, shortest_path_dag
 
@@ -79,3 +83,16 @@ def test_perf_link_value_exact(benchmark):
 
     value = benchmark(link_value_from_entries, busiest, exact=True)
     assert value > 0
+
+
+@pytest.mark.perf
+def test_perf_synthetic_as_paper_size():
+    # The measured AS graph of the paper has 10,941 nodes.  Growth costs
+    # one vectorised prefix-sum pass per arriving AS (about 0.6 s on a
+    # 2-core x86 VM); weighting every candidate provider in Python on
+    # each arrival took about 23 s there.
+    start = time.perf_counter()
+    asg = synthetic_as_graph(ASGraphParams(n=10941), seed=7)
+    elapsed = time.perf_counter() - start
+    assert asg.graph.number_of_nodes() == 10941
+    assert elapsed < 5.0, f"paper-size AS growth took {elapsed:.1f} s"

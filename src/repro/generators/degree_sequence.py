@@ -102,16 +102,28 @@ def is_graphical(degrees: Sequence[int]) -> bool:
     """Erdős–Gallai test: can ``degrees`` be realised by a simple graph?
 
     Inet runs "a feasibility test on the generated degree distribution";
-    this is the classical check.
+    this is the classical check, in O(n log n).  With the sequence sorted
+    non-increasingly, the degrees below ``k`` form a suffix that only
+    grows with ``k``, so one pointer and the suffix sums give each
+    right-hand side ``k(k-1) + sum(min(d, k) for d in seq[k:])`` in O(1).
+    All arithmetic is on integers, so the answer is exact.
     """
     if sum(degrees) % 2 == 1:
         return False
     seq = sorted(degrees, reverse=True)
     n = len(seq)
-    prefix = list(itertools.accumulate(seq))
+    suffix = [0] * (n + 1)  # suffix[i] == sum(seq[i:])
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + seq[i]
+    left = 0
+    small = n  # seq[small:] are exactly the degrees below k
     for k in range(1, n + 1):
-        left = prefix[k - 1]
-        right = k * (k - 1) + sum(min(d, k) for d in seq[k:])
+        left += seq[k - 1]
+        while small > 0 and seq[small - 1] < k:
+            small -= 1
+        # In seq[k:], degrees at positions k..small-1 count k, the rest d.
+        split = max(small, k)
+        right = k * (k - 1) + k * (split - k) + suffix[split]
         if left > right:
             return False
     return True
@@ -150,17 +162,38 @@ def _emit_plrg(dest: EdgeSink, degrees: Sequence[int], rng) -> None:
         dest.add_chunk(pairs[start : start + _CHUNK_EDGES])
 
 
+#: Consecutive failed draws before the uniform wiring first checks whether
+#: its unsatisfied nodes are already pairwise adjacent.
+_STUCK_CHECK_RUN = 64
+
+
 def _emit_uniform(dest: EdgeSink, degrees: Sequence[int], rng) -> None:
     remaining = list(degrees)
     unsatisfied = [node for node, d in enumerate(remaining) if d > 0]
     dest.add_nodes_from(range(len(degrees)))
     stale_limit = 50 * max(1, sum(degrees))
     attempts = 0
+    failed_run = 0
     while len(unsatisfied) > 1 and attempts < stale_limit:
         attempts += 1
         u, v = rng.sample(unsatisfied, 2)
         if dest.has_edge(u, v):
+            failed_run += 1
+            # Only a success changes the unsatisfied set, so once it is a
+            # clique no later draw can place an edge: stop.  Checked at
+            # run lengths 64, 128, 256, ... to keep the check off the
+            # common path.
+            if (
+                failed_run >= _STUCK_CHECK_RUN
+                and failed_run & (failed_run - 1) == 0
+                and all(
+                    dest.has_edge(a, b)
+                    for a, b in itertools.combinations(unsatisfied, 2)
+                )
+            ):
+                return
             continue
+        failed_run = 0
         dest.add_edge(u, v)
         for node in (u, v):
             remaining[node] -= 1
@@ -300,6 +333,12 @@ def wire_uniform(
     the nodes randomly, without cloning").  Appendix D.1: "Even for the
     uniformly random connectivity method ... the large-scale metrics are
     qualitatively similar to the PLRG."
+
+    Drawing stops after ``50 * sum(degrees)`` draws, or as soon as the
+    unsatisfied nodes are pairwise linked, since then no draw can place an
+    edge.  The early stop leaves the edges unchanged; only a caller that
+    passes its own ``random.Random`` as ``seed`` can tell, because fewer
+    draws leave that generator in a different state.
     """
     return _wire("uniform", "uniform-wired", degrees, seed, sink)
 

@@ -24,10 +24,10 @@ construction truth (:mod:`repro.internet.relationships`).
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.generators.base import Seed, make_rng
 from repro.graph.core import Graph
@@ -93,17 +93,22 @@ def synthetic_as_graph(
             graph.add_edge(u, v)
             rels.set_peer(u, v)
 
-    # customer_count drives the provider-choice preference.
-    customer_count: Dict[int, int] = {u: 0 for u in t1}
+    # Provider-choice weights, indexed by node (nodes are numbered in
+    # arrival order): market share (customer count) damped by tier depth,
+    # since deep regional providers are less attractive than big transit
+    # ASes.  An entry is rewritten only when its AS arrives or gains a
+    # customer, so each arrival costs one vectorised prefix-sum pass.
+    damping = [params.preference_damping ** t for t in range(params.n)]
+    customer_count = [0] * params.n
+    weights = np.zeros(params.n)
 
-    def provider_weight(candidate: int) -> float:
-        # Market-share preference damped by tier depth: deep regional
-        # providers are less attractive than big transit ASes.
-        base = 1.0 + customer_count[candidate]
-        return base * (params.preference_damping ** tier[candidate])
+    def reweight(node: int) -> None:
+        weights[node] = (1.0 + customer_count[node]) * damping[tier[node]]
+
+    for u in t1:
+        reweight(u)
 
     # --- Growth: each new AS multihomes to preferential providers ---------
-    nodes: List[int] = list(t1)
     for new in range(params.tier1_count, params.n):
         r = rng.random()
         cumulative = 0.0
@@ -113,10 +118,12 @@ def synthetic_as_graph(
             if r < cumulative:
                 provider_count = k
                 break
-        provider_count = min(provider_count, len(nodes))
+        provider_count = min(provider_count, new)
 
-        prefix = list(itertools.accumulate(provider_weight(c) for c in nodes))
-        total_weight = prefix[-1]
+        # Sequential cumulative sum: the same floats, in the same order,
+        # as a running Python sum over the weights.
+        prefix = np.cumsum(weights[:new])
+        total_weight = float(prefix[-1])
         providers = set()
         guard = 0
         while len(providers) < provider_count and guard < 10000:
@@ -134,15 +141,15 @@ def synthetic_as_graph(
                     providers.add(neighbors[rng.randrange(len(neighbors))])
                     continue
             pick = rng.random() * total_weight
-            providers.add(nodes[bisect.bisect_left(prefix, pick)])
+            providers.add(int(np.searchsorted(prefix, pick, side="left")))
         graph.add_node(new)
         tier[new] = 1 + min(tier[p] for p in providers)
-        customer_count[new] = 0
+        reweight(new)
         for p in providers:
             graph.add_edge(new, p)
             rels.set_provider_customer(provider=p, customer=new)
             customer_count[p] += 1
-        nodes.append(new)
+            reweight(p)
 
     # --- Peering pass: similar-sized ASes peer ---------------------------
     target_peer_links = int(params.peering_fraction * graph.number_of_edges())
@@ -150,7 +157,7 @@ def synthetic_as_graph(
     guard = 0
     while added < target_peer_links and guard < 100 * max(1, target_peer_links):
         guard += 1
-        u = nodes[rng.randrange(len(nodes))]
+        u = rng.randrange(params.n)
         if rng.random() < params.peer_closure_fraction and graph.degree(u) > 0:
             # Peer with an AS met at a shared neighbour (common exchange).
             u_neighbors = list(graph.neighbors(u))
@@ -158,7 +165,7 @@ def synthetic_as_graph(
             via_neighbors = list(graph.neighbors(via))
             v = via_neighbors[rng.randrange(len(via_neighbors))]
         else:
-            v = nodes[rng.randrange(len(nodes))]
+            v = rng.randrange(params.n)
         if u == v or graph.has_edge(u, v):
             continue
         du, dv = graph.degree(u), graph.degree(v)

@@ -46,9 +46,12 @@ def snapshot_series(
 ) -> List[Snapshot]:
     """Build a growing series of AS+RL snapshots.
 
-    Because the AS growth process is sequential and seeded identically,
-    the ``k``-th snapshot is a strict prefix-evolution of the ``k+1``-th
-    in distribution, mirroring how the real Internet's snapshots relate.
+    Every snapshot's AS graph is grown from the same seed, and growth
+    draws from the RNG independently of the final size.  So the growth
+    phase of the ``k``-th snapshot is an exact prefix of the ``k+1``-th:
+    the same ASes with the same tiers and the same provider–customer
+    links.  Only the peering pass that follows growth differs.  This
+    mirrors how the real Internet's snapshots relate.
     """
     if len(sizes) != len(labels):
         raise ValueError("sizes and labels must have equal length")

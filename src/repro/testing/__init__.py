@@ -35,6 +35,7 @@ from repro.testing.oracles import (
     oracle_bipartite_vertex_cover_weight,
     oracle_connected_components,
     oracle_exact_distortion,
+    oracle_is_graphical,
     oracle_min_st_cut,
     oracle_min_vertex_cover_size,
     oracle_spanning_tree_distortion,
@@ -58,6 +59,7 @@ __all__ = [
     "oracle_bipartite_vertex_cover_weight",
     "oracle_connected_components",
     "oracle_exact_distortion",
+    "oracle_is_graphical",
     "oracle_min_st_cut",
     "oracle_min_vertex_cover_size",
     "oracle_spanning_tree_distortion",

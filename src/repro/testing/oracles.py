@@ -327,3 +327,28 @@ def oracle_exact_distortion(graph: Graph) -> float:
     if best == float("inf"):
         raise ValueError("graph is not connected; it has no spanning tree")
     return best
+
+
+# ----------------------------------------------------------------------
+# Degree sequences
+# ----------------------------------------------------------------------
+
+def oracle_is_graphical(degrees: Sequence[int]) -> bool:
+    """Erdős–Gallai checked term by term, in O(n^2).
+
+    For the non-increasingly sorted sequence, every ``k`` in ``1..n``
+    must satisfy ``sum(seq[:k]) <= k(k-1) + sum(min(d, k) for d in
+    seq[k:])``, and the degree sum must be even.  Each right-hand side is
+    summed afresh, exactly as the theorem states it.
+    """
+    if sum(degrees) % 2 == 1:
+        return False
+    seq = sorted(degrees, reverse=True)
+    n = len(seq)
+    prefix = list(itertools.accumulate(seq))
+    for k in range(1, n + 1):
+        left = prefix[k - 1]
+        right = k * (k - 1) + sum(min(d, k) for d in seq[k:])
+        if left > right:
+            return False
+    return True

@@ -1,6 +1,8 @@
 """Tests for degree-sequence sampling and the Appendix D.1 wiring
 variants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,9 @@ from repro.generators.degree_sequence import (
     wire_unsatisfied_proportional,
 )
 from repro.generators.barabasi_albert import barabasi_albert
+from repro.generators.builder import GraphBuilder
 from repro.graph.core import Graph
+from repro.testing.oracles import oracle_is_graphical
 
 
 def test_power_law_degrees_even_sum():
@@ -59,6 +63,97 @@ def test_is_graphical_known_cases():
     assert not is_graphical([1, 1, 1])  # odd sum
     assert not is_graphical([3, 1, 1])  # fails Erdos-Gallai
     assert is_graphical([3, 3, 3, 3])  # K4
+
+
+@st.composite
+def degree_sequences(draw):
+    n = draw(st.integers(0, 40))
+    return draw(st.lists(st.integers(-1, n + 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(degree_sequences())
+def test_is_graphical_matches_quadratic_oracle(degrees):
+    # Odd sums, negative and oversized degrees are all in range.
+    assert is_graphical(degrees) == oracle_is_graphical(degrees)
+
+
+def test_is_graphical_matches_oracle_on_near_threshold_sequences():
+    # Random sequences are mostly rejected at k=1; these sit near the
+    # Erdős–Gallai boundary, where later terms decide.
+    rng = random.Random(12)
+    answers = set()
+    for _ in range(500):
+        n = rng.randrange(2, 40)
+        degrees = [rng.randrange(0, n // 2 + 2) for _ in range(n)]
+        degrees[0] = rng.randrange(n // 2, n + 1)
+        expected = oracle_is_graphical(degrees)
+        answers.add(expected)
+        assert is_graphical(degrees) == expected
+    assert answers == {True, False}
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``sample`` calls."""
+
+    samples = 0
+
+    def sample(self, population, k):
+        self.samples += 1
+        return super().sample(population, k)
+
+
+def uniform_reference(degrees, rng):
+    """The uniform wiring loop that draws on to its stale limit."""
+    remaining = list(degrees)
+    unsatisfied = [node for node, d in enumerate(remaining) if d > 0]
+    edges = set()
+    stale_limit = 50 * max(1, sum(degrees))
+    attempts = 0
+    while len(unsatisfied) > 1 and attempts < stale_limit:
+        attempts += 1
+        u, v = rng.sample(unsatisfied, 2)
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            continue
+        edges.add(edge)
+        for node in (u, v):
+            remaining[node] -= 1
+            if remaining[node] == 0:
+                unsatisfied.remove(node)
+    return edges, attempts
+
+
+def edge_set(graph):
+    return {(min(u, v), max(u, v)) for u, v in graph.iter_edges()}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_uniform_wiring_stops_at_stuck_clique(seed):
+    # Five hubs want 50 links each but have only 4 + 20 possible partners:
+    # once the leaves are used up the hubs form a clique of unsatisfied
+    # nodes, and no further draw can succeed.
+    degrees = [50] * 5 + [1] * 20
+    reference, reference_draws = uniform_reference(degrees, random.Random(seed))
+    stale_limit = 50 * sum(degrees)
+    assert reference_draws == stale_limit
+
+    rng = CountingRandom(seed)
+    wired = wire_uniform(degrees, seed=rng)
+    assert edge_set(wired) == reference
+    assert rng.samples < stale_limit // 20
+
+    streamed = wire_uniform(degrees, seed=seed, sink=GraphBuilder())
+    assert edge_set(streamed) == reference
+
+
+def test_uniform_wiring_matches_reference_on_random_sequences():
+    rng = random.Random(3)
+    for seed in range(60):
+        n = rng.randrange(2, 30)
+        degrees = [rng.randrange(0, n + 3) for _ in range(n)]
+        reference, _ = uniform_reference(degrees, random.Random(seed))
+        assert edge_set(wire_uniform(degrees, seed=seed)) == reference
 
 
 def test_wire_plrg_respects_degrees_approximately():

@@ -13,6 +13,7 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
+from repro.generators.degree_sequence import is_graphical
 from repro.graph.components import articulation_points, biconnected_components
 from repro.graph.flow import Dinic
 from repro.graph.traversal import bfs_distances, connected_components
@@ -103,3 +104,18 @@ def test_bfs_tree_distances_match_networkx_shortest_paths():
         graph_dist = nx.single_source_shortest_path_length(to_networkx(g), root)
         for node in g.nodes():
             assert index.depth(node) == graph_dist[node]
+
+
+def test_is_graphical_matches_networkx():
+    # networkx rejects negative degrees outright, so the sequences here are
+    # non-negative; oversized degrees and odd sums are included.
+    rng = random.Random("nx-diff:graphical")
+    answers = set()
+    for _ in range(2000):
+        n = rng.randrange(0, 40)
+        top = rng.choice((n // 3 + 1, n + 2))
+        degrees = [rng.randrange(0, top) for _ in range(n)]
+        expected = nx.is_graphical(degrees, method="eg")
+        answers.add(expected)
+        assert is_graphical(degrees) == expected
+    assert answers == {True, False}

@@ -149,3 +149,27 @@ def test_snapshot_series_grows():
 def test_snapshot_series_length_mismatch():
     with pytest.raises(ValueError):
         snapshot_series(sizes=(100,), labels=("a", "b"))
+
+
+def test_as_growth_is_a_prefix_of_larger_growth():
+    # Growth draws from the RNG independently of n, so the first 300
+    # arrivals of a 900-node graph match a 300-node graph exactly.  This
+    # pins the provider weights seen by every arrival, not only the final
+    # ones, to depend on earlier arrivals alone and never on n (the
+    # golden digests in test_generation_pins pin their values).
+    small = synthetic_as_graph(ASGraphParams(n=300), seed=11)
+    large = synthetic_as_graph(ASGraphParams(n=900), seed=11)
+
+    def transit_links(asg, limit):
+        rels = asg.relationships
+        edges = {(min(e), max(e)) for e in asg.graph.iter_edges()}
+        return {
+            (u, v, rels.rel(u, v))
+            for u, v in edges
+            if v < limit and rels.rel(u, v) != PEER
+        }
+
+    links = transit_links(small, 300)
+    assert len(links) > 300
+    assert transit_links(large, 300) == links
+    assert {node: large.tier[node] for node in range(300)} == small.tier
