@@ -11,15 +11,17 @@ PLRGs of three sizes:
 * **Expansion series** — the engine's full ball-growing expansion
   computation, ``MetricEngine(use_csr=True)`` vs. the dict oracle
   engine (``use_csr=False``), serial, single process, identical bits.
-* **Metric cores** — the four CSR-native metric kernels
-  (``resilience_csr``, ``distortion_csr``, ``vertex_cover_size_csr``,
-  ``count_biconnected_csr``) vs. their dict twins on the same large
-  ball (grown to about half the graph around the max-degree hub),
-  bitwise-verified before timing.
+* **Metric cores** — the engine's four fused batch evaluators
+  (``MetricSpec.batch_evaluator`` of resilience, distortion, vertex
+  cover and biconnectivity) on a one-ball ``FusedBatch`` vs. their dict
+  twins (``MetricSpec.evaluator``) on the same large ball (grown to
+  about half the graph around the max-degree hub), bitwise-verified
+  before timing.
 * **Fused batch** — the ball-dominated inner loop: a ``FusedBatch``
-  union sweep over many radius balls vs. the per-ball ``sub_csr``
-  loop, for the segmented BFS/level-count kernels and for
-  ``distortion_csr_batch``, bitwise-verified before timing.
+  union sweep over many radius balls vs. a per-ball loop — of
+  ``sub_csr`` for the segmented BFS/level-count kernels, and of
+  one-ball ``FusedBatch`` calls for ``distortion_csr_batch`` —
+  bitwise-verified before timing.
 * **Transport** — the parallel engine end to end, shared-memory
   segment publish (``transport="shm"``) vs. pickled-array workers
   (``transport="copy"``), wall-clock (the pool is the workload).
@@ -27,9 +29,9 @@ PLRGs of three sizes:
 The numbers land in ``BENCH_csr.json``.  The acceptance gates are at
 the largest size: on the 10k-node PLRG the CSR expansion series must be
 at least 5x faster than the dict path, the resilience and distortion
-kernels at least 5x faster than their twins, the cover and
-biconnectivity kernels must not lose to theirs, and the fused batch
-distortion sweep must be at least 2x faster than the per-ball loop.
+batch evaluators at least 5x faster than their twins, the cover and
+biconnectivity ones must not lose to theirs, and the fused batch
+distortion sweep must be at least 2x faster than the one-ball loop.
 The transport comparison is a non-regression guard only: pool spin-up
 noise dominates at these sizes, so shm merely must not lose badly.
 
@@ -49,17 +51,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import MetricEngine, MetricRequest
+from repro.engine import METRICS, MetricEngine, MetricRequest
 from repro.generators.plrg import plrg
 from repro.graph import kernels
-from repro.graph.components import count_biconnected_components
-from repro.graph.cover import vertex_cover_size
-from repro.graph.kernels_flow import resilience_csr
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.runtime import shm
 from repro.graph.traversal import bfs_distances
-from repro.metrics.distortion import distortion_of
-from repro.metrics.resilience import resilience_of
 
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
@@ -77,14 +74,15 @@ OUTPUT = "BENCH_csr.json"
 #: largest size (the PR-5 acceptance gate).
 MIN_EXPANSION_SPEEDUP_AT_10K = 5.0
 
-#: Required kernel-over-twin speedup for the resilience and distortion
-#: cores at the largest size (the PR-6 acceptance gate).  The cover and
-#: biconnectivity kernels only need to not lose (> 1x).
+#: Required batch-evaluator-over-twin speedup for the resilience and
+#: distortion cores at the largest size (the PR-6 acceptance gate).  The
+#: cover and biconnectivity evaluators only need to not lose (> 1x).
 MIN_METRIC_SPEEDUP_AT_10K = 5.0
 METRIC_TRIALS = 3
 
-#: Required fused-batch-over-per-ball speedup for the ball-dominated
-#: distortion sweep at the largest size (the PR-9 acceptance gate).
+#: Required fused-batch-over-one-ball-loop speedup for the
+#: ball-dominated distortion sweep at the largest size (the PR-9
+#: acceptance gate).
 #: The segmented BFS sweep only needs to not lose (> 1x).
 MIN_FUSED_SPEEDUP_AT_10K = 2.0
 FUSED_CENTERS = 48
@@ -181,8 +179,9 @@ def _bench_expansion(graph, csr):
 
 def _hub_ball(graph, csr):
     """A large deterministic ball: grown around the max-degree hub until
-    it covers about half the graph.  Returns the dict ball and its CSR
-    twin in the same canonical (ascending-index) node order."""
+    it covers about half the graph.  Returns the dict ball and its
+    one-ball ``FusedBatch`` in the same canonical (ascending-index) node
+    order."""
     center = int(np.argmax(kernels.degree_vector(csr)))
     dist = kernels.bfs_levels(csr, center)
     # About half the graph: large enough that the metric inner loops
@@ -192,52 +191,39 @@ def _hub_ball(graph, csr):
     while kernels.ball_members(dist, radius).size < target and radius < 64:
         radius += 1
     members = kernels.ball_members(dist, radius)
-    sub_csr = kernels.induced_subgraph(csr, members)
+    fused = kernels.FusedBatch(kernels.BallBatch(csr, [members]))
     nodes = graph.nodes()
     ball = graph.subgraph([nodes[i] for i in members.tolist()])
-    return ball, sub_csr
+    return ball, fused
 
 
-#: metric name -> (dict twin runner, CSR kernel runner).  Each call
-#: constructs a fresh seeded RNG so every timed round replays the exact
-#: same draw sequence on both sides.
-METRIC_CORES = {
-    "resilience": (
-        lambda ball: resilience_of(
-            ball, rng=random.Random(SEED), trials=METRIC_TRIALS
-        ),
-        lambda sub: resilience_csr(
-            sub, rng=random.Random(SEED), trials=METRIC_TRIALS
-        ),
-    ),
-    "distortion": (
-        lambda ball: distortion_of(ball, rng=random.Random(SEED)),
-        lambda sub: distortion_csr(sub, rng=random.Random(SEED)),
-    ),
-    "vertex_cover": (
-        lambda ball: float(vertex_cover_size(ball)),
-        lambda sub: float(kernels.vertex_cover_size_csr(sub)),
-    ),
-    "biconnectivity": (
-        lambda ball: float(count_biconnected_components(ball)),
-        lambda sub: float(kernels.count_biconnected_csr(sub)),
-    ),
-}
+#: The metric cores: the ball metrics with a fused batch evaluator.
+METRIC_CORES = ("resilience", "distortion", "vertex_cover", "biconnectivity")
 
 
 def _bench_metric_cores(graph, csr):
-    """Per-metric inner loops, kernel vs. twin, on the same hub ball."""
-    ball, sub_csr = _hub_ball(graph, csr)
+    """Per-metric inner loops, batch evaluator vs. dict twin, on the
+    same hub ball.  Each call constructs a fresh seeded RNG so every
+    timed round replays the exact same draw sequence on both sides."""
+    ball, fused = _hub_ball(graph, csr)
     results = {
         "ball_nodes": ball.number_of_nodes(),
         "ball_edges": ball.number_of_edges(),
     }
-    for name, (run_twin, run_kernel) in METRIC_CORES.items():
+    for name in METRIC_CORES:
+        spec = METRICS[name]
+        params = {"trials": METRIC_TRIALS}
+
+        def run_twin():
+            return spec.evaluator(ball, random.Random(SEED), params)
+
+        def run_batch():
+            (value,) = spec.batch_evaluator(fused, random.Random(SEED), params)
+            return value
+
         # Bitwise equivalence before timing (also warms both paths).
-        assert run_kernel(sub_csr) == run_twin(ball), name
-        dict_seconds, csr_seconds = _interleaved(
-            lambda: run_twin(ball), lambda: run_kernel(sub_csr)
-        )
+        assert run_batch() == run_twin(), name
+        dict_seconds, csr_seconds = _interleaved(run_twin, run_batch)
         results[name] = {
             "dict_seconds": round(dict_seconds, 4),
             "csr_seconds": round(csr_seconds, 4),
@@ -257,11 +243,13 @@ def _radius_balls(csr, centers=FUSED_CENTERS):
     for i in range(centers):
         dist = kernels.bfs_levels(csr, rng.randrange(n))
         members_list.append(kernels.ball_members(dist, 1 + i % 2))
-    return kernels.BallBatch(csr, members_list)
+    return members_list
 
 
 def _bench_fused_batch(csr):
-    batch = _radius_balls(csr)
+    members_list = _radius_balls(csr)
+    batch = kernels.BallBatch(csr, members_list)
+    singles = [kernels.BallBatch(csr, [members]) for members in members_list]
 
     def sweep_per_ball():
         out = []
@@ -294,7 +282,9 @@ def _bench_fused_batch(csr):
     def distortion_per_ball():
         r = random.Random(SEED)
         return [
-            distortion_csr(batch.sub_csr(i), rng=r) for i in range(len(batch))
+            value
+            for single in singles
+            for value in distortion_csr_batch(kernels.FusedBatch(single), rng=r)
         ]
 
     def distortion_fused():
@@ -415,15 +405,16 @@ def test_perf_csr_kernels_beat_dict_bfs():
     assert (
         largest["expansion_series"]["speedup"] >= MIN_EXPANSION_SPEEDUP_AT_10K
     ), largest
-    # The non-BFS metric kernels: >= 5x on the flow/tree cores at 10k,
-    # and the cover/biconn kernels must not lose to their twins.
+    # The batch evaluators: >= 5x on the flow/tree cores at 10k, and
+    # the cover/biconn ones must not lose to their dict twins.
     cores = largest["metric_cores"]
     for name in ("resilience", "distortion"):
         assert cores[name]["speedup"] >= MIN_METRIC_SPEEDUP_AT_10K, (name, cores)
     for name in ("vertex_cover", "biconnectivity"):
         assert cores[name]["speedup"] > 1.0, (name, cores)
-    # The fused batch sweep: >= 2x on the ball-dominated distortion
-    # workload at 10k, and the segmented BFS sweep must not lose.
+    # The fused batch sweep: >= 2x over the one-ball loop on the
+    # ball-dominated distortion workload at 10k, and the segmented BFS
+    # sweep must not lose to the per-ball loop.
     fused = largest["fused_batch"]
     assert fused["distortion"]["speedup"] >= MIN_FUSED_SPEEDUP_AT_10K, fused
     assert fused["segmented_sweep"]["speedup"] > 1.0, fused

@@ -41,10 +41,11 @@ compact CSR arrays instead of re-pickling the dict-of-sets graph.  Ball
 subgraphs are induced on the *canonical thawed* graph (``csr.thaw()``),
 so member ordering — and therefore every downstream float — is a pure
 function of graph content, independent of adjacency-set insertion
-history.  ``MetricEngine(use_csr=False)`` swaps the BFS producer for
-the legacy dict implementation while sharing all other code: the dict
-path is the oracle the CSR kernels are tested bitwise-equal against
-(``repro selfcheck --family csr``).
+history.  ``MetricEngine(use_csr=False)`` swaps the BFS producer and
+the fused ball-metric kernels for the legacy dict implementations while
+sharing all other code: the dict path is the oracle the CSR kernels are
+tested bitwise-equal against (``repro selfcheck --family csr`` and
+``--family kernels``).
 """
 
 from __future__ import annotations
@@ -134,20 +135,16 @@ class _ComputeContext:
     CSR arrays — or, after :meth:`publish`, just a shared-memory
     :class:`~repro.runtime.shm.SegmentHandle` that workers attach to
     zero-copy.  Each worker thaws the canonical ``Graph`` at most once.
-    ``use_csr=False`` selects the dict-of-sets BFS oracle;
-    ``use_batch=False`` keeps the per-ball kernel loop instead of the
-    fused batch entry points.  Every other step is shared, so a
-    mismatch isolates the layer that diverged.
+    ``use_csr=False`` selects the dict-of-sets oracle for BFS and every
+    ball metric.  Every other step is shared, so a mismatch isolates
+    the layer that diverged.
     """
 
-    __slots__ = ("csr", "use_csr", "use_batch", "_graph", "_segment")
+    __slots__ = ("csr", "use_csr", "_graph", "_segment")
 
-    def __init__(
-        self, csr: CSRGraph, use_csr: bool = True, use_batch: bool = True
-    ):
+    def __init__(self, csr: CSRGraph, use_csr: bool = True):
         self.csr = csr
         self.use_csr = bool(use_csr)
-        self.use_batch = bool(use_batch)
         self._graph: Optional[Graph] = None
         self._segment: Optional[_shm.SharedGraph] = None
 
@@ -193,20 +190,15 @@ class _ComputeContext:
     def __reduce__(self):
         segment = self._segment
         if segment is not None and segment.alive:
-            return (
-                _ctx_from_handle,
-                (segment.handle, self.use_csr, self.use_batch),
-            )
-        return (_ComputeContext, (self.csr, self.use_csr, self.use_batch))
+            return (_ctx_from_handle, (segment.handle, self.use_csr))
+        return (_ComputeContext, (self.csr, self.use_csr))
 
 
 def _ctx_from_handle(
-    handle: "_shm.SegmentHandle", use_csr: bool, use_batch: bool
+    handle: "_shm.SegmentHandle", use_csr: bool
 ) -> _ComputeContext:
     """Worker-side unpickle target: attach instead of copying arrays."""
-    return _ComputeContext(
-        _shm.attach(handle), use_csr=use_csr, use_batch=use_batch
-    )
+    return _ComputeContext(_shm.attach(handle), use_csr=use_csr)
 
 
 def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
@@ -279,58 +271,42 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                     break
                 schedule.append((radius, size))
 
-            # Kernelized metrics run on batched sub-CSRs (bitwise equal to
-            # the dict path — each kernel twin makes the same rng draws on
-            # the same canonical index order).  With ``use_batch`` the
-            # whole schedule of a member's balls is evaluated in one
-            # fused call before the per-radius loop: each member draws
-            # from its *own* rng stream, so consuming one member's
-            # stream across all balls up front is the same draw
-            # sequence the per-ball loop makes.  Policy balls (dag) and
-            # the dict oracle path keep the per-radius subgraph
-            # construction; the dict ball is built lazily, only for
-            # members without a kernel twin.
-            batch = None
+            # Metrics with a batch evaluator run on one fused union of
+            # the whole schedule's balls, one call per member before the
+            # per-radius loop (bitwise equal to the dict path: the batch
+            # kernels make the same rng draws on the same canonical
+            # index order).  Each member draws from its *own* rng
+            # stream, so consuming it across all balls up front is the
+            # same draw sequence a per-ball loop makes.  Policy balls
+            # (dag) and the dict oracle path keep the per-radius
+            # subgraph construction; the dict ball is built lazily, only
+            # for members without a batch evaluator.
             fused_values: Dict[int, List[float]] = {}
             if ctx.use_csr and dag is None and schedule:
-                if any(
-                    METRICS[member.name].kernel_evaluator is not None
-                    for member in group.members
-                ):
-                    batch = kernels.BallBatch(
-                        ctx.csr,
-                        [
+                fused = None
+                for member in group.members:
+                    spec = METRICS[member.name]
+                    if spec.batch_evaluator is None:
+                        continue
+                    if fused is None:
+                        balls = [
                             kernels.ball_members(dist, radius)
                             for radius, _size in schedule
-                        ],
+                        ]
+                        fused = kernels.FusedBatch(
+                            kernels.BallBatch(ctx.csr, balls)
+                        )
+                    fused_values[member.rid] = spec.batch_evaluator(
+                        fused, rngs[member.rid], member.eval_params
                     )
-                    if ctx.use_batch:
-                        fused = None
-                        for member in group.members:
-                            spec = METRICS[member.name]
-                            if spec.batch_evaluator is None:
-                                continue
-                            if fused is None:
-                                fused = kernels.FusedBatch(batch)
-                            fused_values[member.rid] = spec.batch_evaluator(
-                                fused, rngs[member.rid], member.eval_params
-                            )
             contributions: List[Tuple[int, int, Dict[int, float]]] = []
             for bi, (radius, size) in enumerate(schedule):
-                sub = None
                 ball = None
                 values: Dict[int, float] = {}
                 for member in group.members:
                     spec = METRICS[member.name]
                     if member.rid in fused_values:
                         values[member.rid] = fused_values[member.rid][bi]
-                        continue
-                    if batch is not None and spec.kernel_evaluator is not None:
-                        if sub is None:
-                            sub = batch.sub_csr(bi)
-                        values[member.rid] = spec.kernel_evaluator(
-                            sub, rngs[member.rid], member.eval_params
-                        )
                         continue
                     if ball is None:
                         if dag is not None:
@@ -414,16 +390,11 @@ class MetricEngine:
         (the default) computes serially in-process; results are
         identical either way.
     use_csr:
-        Run BFS through the vectorized CSR kernels (the default).
-        ``False`` swaps in the legacy dict-of-sets BFS — the oracle
-        path; results are bitwise identical either way.
-    use_batch:
-        Evaluate each center's whole radius schedule through the fused
-        batch kernels (one call per metric instead of one per ball; the
-        default).  ``False`` keeps the per-ball kernel loop; results
-        are bitwise identical either way.  ``None`` reads the
-        ``REPRO_BATCH`` environment variable (``0``/``off`` disables).
-        Implies nothing without ``use_csr``.
+        Run BFS through the vectorized CSR kernels and evaluate each
+        center's whole radius schedule through the fused batch kernels
+        (the default).  ``False`` swaps in the legacy dict-of-sets BFS
+        and ball evaluators — the oracle path; results are bitwise
+        identical either way.
     transport:
         How workers receive the frozen graph: ``"auto"`` (the default)
         publishes it to a shared-memory segment when possible and falls
@@ -478,16 +449,11 @@ class MetricEngine:
         journal: Optional[Union[Journal, str]] = None,
         use_csr: bool = True,
         cache: Optional[SeriesCache] = None,
-        use_batch: Optional[bool] = None,
         transport: Optional[str] = None,
     ):
         self.workers = int(workers)
         self.use_cache = bool(use_cache)
         self.use_csr = bool(use_csr)
-        if use_batch is None:
-            env = os.environ.get("REPRO_BATCH")
-            use_batch = env is None or env.lower() not in ("0", "off", "false")
-        self.use_batch = bool(use_batch) and self.use_csr
         if transport is None:
             transport = os.environ.get("REPRO_TRANSPORT") or "auto"
         if transport not in ("auto", "shm", "copy"):
@@ -537,11 +503,7 @@ class MetricEngine:
                 f"duplicate metric names in one compute call: {names}"
             )
         resolved = [self._resolve(graph, req) for req in reqs]
-        ctx = _ComputeContext(
-            csr_from_graph(graph),
-            use_csr=self.use_csr,
-            use_batch=self.use_batch,
-        )
+        ctx = _ComputeContext(csr_from_graph(graph), use_csr=self.use_csr)
 
         if self.use_cache:
             fingerprint = graph_fingerprint(graph)

@@ -32,16 +32,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
 from repro.graph.cover import vertex_cover_size
-from repro.graph.csr import CSRGraph
 from repro.graph.kernels import (
     FusedBatch,
     batch_biconnected_counts,
     batch_vertex_cover_sizes,
-    count_biconnected_csr,
-    vertex_cover_size_csr,
 )
-from repro.graph.kernels_flow import resilience_csr, resilience_csr_batch
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
+from repro.graph.kernels_flow import resilience_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.metrics.clustering import clustering_coefficient
 from repro.metrics.distortion import distortion_of
 from repro.metrics.pathlength import average_ball_path_length
@@ -49,11 +46,6 @@ from repro.metrics.resilience import resilience_of
 
 # A per-ball evaluator: (ball subgraph, per-center RNG or None, params).
 Evaluator = Callable[[Graph, Optional[random.Random], Mapping[str, Any]], float]
-
-# A CSR kernel evaluator: (ball sub-CSR, per-center RNG or None, params).
-KernelEvaluator = Callable[
-    [CSRGraph, Optional[random.Random], Mapping[str, Any]], float
-]
 
 # A fused batch evaluator: (whole fused batch, per-center RNG or None,
 # params) -> one float per ball, aligned with the batch's schedule.
@@ -66,16 +58,12 @@ BatchEvaluator = Callable[
 class MetricSpec:
     """How the engine computes one named metric.
 
-    ``evaluator`` is the dict-of-sets oracle; ``kernel_evaluator``, when
-    present, is its CSR twin — the engine dispatches it on the batched
-    ball sub-CSRs when ``use_csr`` is on, and the two must return
-    bitwise-identical floats (the ``kernels`` selfcheck family and
-    ``tests/test_kernels_metrics.py`` enforce it).  ``batch_evaluator``,
-    when present, evaluates one center's *whole* fused radius schedule
-    in a single call (``use_batch``); it must return the same floats as
-    mapping the kernel evaluator over ``sub_csr`` with the same rng —
-    the ``batch`` selfcheck family and ``tests/test_fused_batch.py``
-    enforce that too.
+    ``evaluator`` is the dict-of-sets oracle.  ``batch_evaluator``,
+    when present, is the production CSR path: it evaluates one center's
+    *whole* fused radius schedule in a single call when ``use_csr`` is
+    on, and must return the same floats as mapping ``evaluator`` over
+    the thawed balls with the same rng (the ``kernels`` selfcheck
+    family and ``tests/test_fused_batch.py`` enforce it).
     """
 
     name: str
@@ -83,8 +71,9 @@ class MetricSpec:
     uses_rng: bool
     defaults: Tuple[Tuple[str, Any], ...]
     evaluator: Optional[Evaluator] = None
-    kernel_evaluator: Optional[KernelEvaluator] = None
     batch_evaluator: Optional[BatchEvaluator] = None
+    # Not a field: perfbench/tracing.py reads it and skips the None.
+    kernel_evaluator = None
 
     def resolve_params(self, overrides: Mapping[str, Any]) -> Dict[str, Any]:
         """Defaults merged with ``overrides``; unknown keys are an error."""
@@ -122,22 +111,6 @@ def _eval_clustering(ball, rng, params):
 
 def _eval_path_length(ball, rng, params):
     return average_ball_path_length(ball)
-
-
-def _kernel_resilience(sub, rng, params):
-    return resilience_csr(sub, rng=rng, trials=params["trials"])
-
-
-def _kernel_distortion(sub, rng, params):
-    return distortion_csr(sub, rng=rng)
-
-
-def _kernel_vertex_cover(sub, rng, params):
-    return float(vertex_cover_size_csr(sub))
-
-
-def _kernel_biconnectivity(sub, rng, params):
-    return float(count_biconnected_csr(sub))
 
 
 def _batch_resilience(fused, rng, params):
@@ -192,7 +165,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=True,
             defaults=_ball_defaults(10, 1500, trials=3),
             evaluator=_eval_resilience,
-            kernel_evaluator=_kernel_resilience,
             batch_evaluator=_batch_resilience,
         ),
         MetricSpec(
@@ -201,7 +173,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=True,
             defaults=_ball_defaults(10, 1500),
             evaluator=_eval_distortion,
-            kernel_evaluator=_kernel_distortion,
             batch_evaluator=_batch_distortion,
         ),
         MetricSpec(
@@ -210,7 +181,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=False,
             defaults=_ball_defaults(10, 2500),
             evaluator=_eval_vertex_cover,
-            kernel_evaluator=_kernel_vertex_cover,
             batch_evaluator=_batch_vertex_cover,
         ),
         MetricSpec(
@@ -219,7 +189,6 @@ METRICS: Dict[str, MetricSpec] = {
             uses_rng=False,
             defaults=_ball_defaults(10, 2500),
             evaluator=_eval_biconnectivity,
-            kernel_evaluator=_kernel_biconnectivity,
             batch_evaluator=_batch_biconnectivity,
         ),
         MetricSpec(

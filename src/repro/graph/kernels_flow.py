@@ -14,22 +14,22 @@ algorithm over CSR arrays:
   :class:`repro.graph.kernels.PathCountOverflow`).  The flow value and
   the residual-reachable set are unique — identical for *every* max
   flow — so the kernel agrees with the twin's Dinic solver exactly.
-* :func:`bisection_cut_csr` / :func:`resilience_csr` — bitwise mirrors
-  of :func:`repro.graph.partition.bisection_cut_size` and
-  :func:`repro.metrics.resilience.resilience_of`: same exact-regime
-  Gray-code enumeration (vectorized over all masks at once), same
-  deterministic handshake coarsening, canonical BFS growth, boundary FM
-  and flow refinement, making literally the same ``rng`` draws.  The
-  bulk array work (gain initialization, cut sizes, coarsening,
-  membership) is vectorized; the FM move loop itself stays a scalar
-  heap loop because its pop sequence *is* the algorithm — heap entries
-  are totally ordered ``(-gain, node, version)`` tuples, so the
-  sequence is a pure function of the entry multiset and both
+* :func:`bisection_cut_csr` / :func:`resilience_csr_batch` — bitwise
+  mirrors of :func:`repro.graph.partition.bisection_cut_size` and, per
+  ball of a fused batch, :func:`repro.metrics.resilience.resilience_of`:
+  same exact-regime Gray-code enumeration (vectorized over all masks at
+  once), same deterministic handshake coarsening, canonical BFS growth,
+  boundary FM and flow refinement, making literally the same ``rng``
+  draws.  The bulk array work (gain initialization, cut sizes,
+  coarsening, membership) is vectorized; the FM move loop itself stays
+  a scalar heap loop because its pop sequence *is* the algorithm —
+  heap entries are totally ordered ``(-gain, node, version)`` tuples,
+  so the sequence is a pure function of the entry multiset and both
   implementations walk the same moves.
 
-On disconnected input :func:`resilience_csr` delegates to the dict
-twin, which evaluates the largest component — engine balls are always
-connected, so the delegation only fires for exotic direct callers.
+Disconnected balls delegate to the dict twin, which evaluates the
+largest component — engine balls are always connected, so the
+delegation only fires for exotic direct callers.
 """
 
 from __future__ import annotations
@@ -42,7 +42,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.kernels import UNREACHED, _gather_rows, bfs_levels
+from repro.graph.kernels import (
+    UNREACHED,
+    FusedBatch,
+    _gather_rows,
+    fused_bfs_levels,
+)
 from repro.graph.partition import (
     _COARSEST,
     _EXACT_MAX,
@@ -646,49 +651,24 @@ def bisection_cut_csr(
     return _cut_csr(fine, best_side)
 
 
-def resilience_csr(
-    sub: CSRGraph, rng: Optional[random.Random] = None, trials: int = 3
-) -> float:
-    """Resilience of a CSR ball, bitwise equal to the dict twin
-    :func:`repro.metrics.resilience.resilience_of` on the thawed graph.
-
-    Disconnected input delegates to the twin (largest-component
-    semantics); engine balls are always connected.
-    """
-    rng = rng if rng is not None else random.Random(0)
-    n = sub.number_of_nodes()
-    if n == 0:
-        return 0.0
-    probe = bfs_levels(sub, 0)
-    if bool((probe == UNREACHED).any()):
-        from repro.metrics.resilience import resilience_of  # deferred: layering
-
-        return resilience_of(sub.thaw(), rng=rng, trials=trials)
-    if n < 2:
-        return 0.0
-    return float(bisection_cut_csr(sub, rng=rng, trials=trials))
-
-
 def resilience_csr_batch(
-    fused: "FusedBatch",
+    fused: FusedBatch,
     rng: Optional[random.Random] = None,
     trials: int = 3,
 ) -> List[float]:
-    """Every ball's :func:`resilience_csr`, sharing one fused probe.
+    """Every ball's resilience, sharing one fused connectivity probe.
 
-    Bitwise equal to ``[resilience_csr(fused.sub_csr(b), rng) ...]`` on
-    the same rng.  The bisection solver is a scalar multilevel loop
-    (its heap pop sequence *is* the algorithm), so each ball still runs
-    it separately — this batch entry point's wins are the single fused
-    connectivity sweep replacing one probe BFS per ball and the
-    ``range``-labelled local CSR views that skip ``sub_csr``'s node-
-    label materialisation (the solver never reads labels).  Draws stay
-    sequential per ball in schedule order, exactly like the per-ball
-    loop; disconnected balls delegate through :func:`resilience_csr`
-    (which re-probes, drawing nothing first).
+    Bitwise equal to ``[resilience_of(fused.sub_csr(b).thaw(), rng)
+    ...]`` on the same rng.  The bisection solver is a scalar multilevel
+    loop (its heap pop sequence *is* the algorithm), so each ball still
+    runs it separately — the batch wins are the single fused
+    connectivity sweep and the ``range``-labelled local CSR views that
+    skip ``sub_csr``'s node-label materialisation (the solver never
+    reads labels).  Draws stay sequential per ball in schedule order;
+    disconnected balls delegate to the dict twin in place.
     """
     rng = rng if rng is not None else random.Random(0)
-    from repro.graph.kernels import fused_bfs_levels  # deferred: layering
+    from repro.metrics.resilience import resilience_of  # deferred: layering
 
     num_balls = len(fused)
     results: List[float] = [0.0] * num_balls
@@ -709,8 +689,8 @@ def resilience_csr_batch(
         if n_b == 0:
             continue  # twin returns 0.0, no draws
         if bool((probe[lo:hi] == UNREACHED).any()):
-            results[b] = resilience_csr(
-                fused.sub_csr(b), rng=rng, trials=trials
+            results[b] = resilience_of(
+                fused.sub_csr(b).thaw(), rng=rng, trials=trials
             )
             continue
         if n_b < 2:

@@ -1,21 +1,24 @@
-"""CSR tree kernels: canonical BFS spanning trees and distortion.
+"""CSR tree kernels: fused canonical BFS spanning trees and distortion.
 
 The dict twin is :func:`repro.metrics.distortion.distortion_of`, whose
 inner loop scores canonical BFS trees (minimum-index parents) with the
-``TreeIndex`` LCA machinery.  This module vectorizes the same math:
+``TreeIndex`` LCA machinery.  :func:`distortion_csr_batch` vectorizes
+the same math over every ball of a
+:class:`~repro.graph.kernels.FusedBatch` at once (a single ball is a
+batch of one):
 
-* :func:`canonical_bfs_parents` — the min-index-parent BFS tree as one
-  ``np.minimum.at`` scatter per graph;
-* :func:`tree_edge_distance_total` — the integer sum over graph edges of
-  their tree distance, via vectorized binary-lifting LCA over all edges
-  at once;
-* :func:`distortion_csr` — the full metric on a CSR ball, bitwise equal
-  to the twin (both reduce to ``min(integer totals) / num_edges``; IEEE
-  division is monotone in the numerator, so the minima coincide).
+* one packed multi-source BFS sweep scores every ball's closeness
+  center;
+* per root slot, one BFS, one ``np.minimum.at`` scatter for the
+  min-index-parent trees and one vectorized binary-lifting LCA pass
+  give the integer sum over graph edges of their tree distance;
+* each ball's distortion is ``min(integer totals) / num_edges``,
+  bitwise equal to the twin (IEEE division is monotone in the
+  numerator, so the minima coincide).
 
-On disconnected input the kernel delegates to the dict twin, which
-evaluates the largest component — engine balls are always connected, so
-the delegation only fires for exotic direct callers.
+Disconnected balls delegate to the dict twin, which evaluates the
+largest component — engine balls are always connected, so the
+delegation only fires for exotic direct callers.
 """
 
 from __future__ import annotations
@@ -25,14 +28,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
 from repro.graph.kernels import (
     UNREACHED,
     FusedBatch,
     _gather_rows,
-    bfs_levels,
     fused_bfs_levels,
-    multi_source_distances,
 )
 
 #: Sample size for the closeness-center source set (twin:
@@ -41,146 +41,6 @@ CENTER_SOURCES = 24
 
 _RANDOM_ROOTS = 2
 
-
-def closeness_center_index(
-    csr: CSRGraph, rng: random.Random, num_sources: int = CENTER_SOURCES
-) -> int:
-    """First index minimizing the summed BFS distance from the sources.
-
-    Draws the identical ``rng.sample`` the twin draws, sums integer
-    distances, and takes ``np.argmin`` (first minimum — the twin's
-    min-index tie break).  Requires a connected graph.
-    """
-    n = csr.number_of_nodes()
-    if n <= num_sources:
-        sources: List[int] = list(range(n))
-    else:
-        sources = rng.sample(range(n), num_sources)
-    dist = multi_source_distances(csr, sources)
-    score = dist.astype(np.int64).sum(axis=0)
-    return int(np.argmin(score))
-
-
-def canonical_bfs_parents(
-    csr: CSRGraph, root: int, dist: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Canonical BFS-tree parents: minimum-index neighbor one level up.
-
-    Returns an int64 vector with ``parent[root] == -1``; every other
-    node's parent is its smallest-index neighbor at BFS distance one
-    less — the same tree ``repro.metrics.distortion.
-    _canonical_bfs_parents`` builds node by node.  Requires a connected
-    graph.
-    """
-    n = csr.number_of_nodes()
-    if dist is None:
-        dist = bfs_levels(csr, root)
-    src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(csr.indptr.astype(np.int64))
-    )
-    dst = csr.indices.astype(np.int64)
-    up_edge = dist[dst] == dist[src] - 1
-    parent = np.full(n, n, dtype=np.int64)
-    np.minimum.at(parent, src[up_edge], dst[up_edge])
-    parent[root] = -1
-    return parent
-
-
-def tree_edge_distance_total(
-    csr: CSRGraph, parent: np.ndarray, depth: np.ndarray
-) -> int:
-    """Integer total of tree distances between every graph edge's ends.
-
-    ``parent``/``depth`` describe a spanning tree of the (connected)
-    graph; each undirected edge ``(u, v)`` contributes
-    ``depth[u] + depth[v] - 2 * depth[lca(u, v)]``.  The LCA of all
-    edges is computed at once by vectorized binary lifting.
-    """
-    n = csr.number_of_nodes()
-    src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(csr.indptr.astype(np.int64))
-    )
-    dst = csr.indices.astype(np.int64)
-    once = src < dst
-    a = src[once]
-    b = dst[once]
-    if not a.size:
-        return 0
-
-    depth = depth.astype(np.int64)
-    max_depth = int(depth.max())
-    levels = max(1, max_depth.bit_length())
-    up = np.empty((levels, n), dtype=np.int64)
-    up[0] = np.where(parent < 0, np.arange(n, dtype=np.int64), parent)
-    for k in range(1, levels):
-        up[k] = up[k - 1][up[k - 1]]
-
-    # Lift the deeper endpoint to the shallower one's level.
-    swap = depth[a] < depth[b]
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    diff = depth[a] - depth[b]
-    for k in range(levels):
-        lift = (diff >> k) & 1 == 1
-        a = np.where(lift, up[k][a], a)
-    # Lift both until the parents coincide.
-    for k in range(levels - 1, -1, -1):
-        apart = up[k][a] != up[k][b]
-        a = np.where(apart, up[k][a], a)
-        b = np.where(apart, up[k][b], b)
-    lca = np.where(a == b, a, up[0][a])
-
-    u = src[once]
-    v = dst[once]
-    total = depth[u].sum() + depth[v].sum() - 2 * depth[lca].sum()
-    return int(total)
-
-
-def distortion_csr(
-    sub: CSRGraph,
-    rng: Optional[random.Random] = None,
-    random_roots: int = _RANDOM_ROOTS,
-) -> float:
-    """Distortion of a CSR ball, bitwise equal to the dict twin.
-
-    Scores the closeness-center, max-degree and ``random_roots``
-    random-rooted canonical BFS trees and returns the minimum integer
-    total divided by the edge count.  Disconnected input delegates to
-    the twin (largest-component semantics).
-    """
-    rng = rng if rng is not None else random.Random(0)
-    n = sub.number_of_nodes()
-    m = sub.number_of_edges()
-    if m == 0:
-        return 0.0
-    probe = bfs_levels(sub, 0)
-    if bool((probe == UNREACHED).any()):
-        from repro.metrics.distortion import distortion_of  # deferred: layering
-
-        return distortion_of(sub.thaw(), rng=rng, random_roots=random_roots)
-
-    center = closeness_center_index(sub, rng)
-    roots = [center]
-    degrees = np.diff(sub.indptr)
-    max_degree_node = int(np.argmax(degrees))
-    if max_degree_node != center:
-        roots.append(max_degree_node)
-    for _ in range(random_roots):
-        roots.append(rng.randrange(n))
-
-    best: Optional[int] = None
-    for root in roots:
-        depth = bfs_levels(sub, root)
-        parent = canonical_bfs_parents(sub, root, dist=depth)
-        total = tree_edge_distance_total(sub, parent, depth)
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best / m
-
-
-# ----------------------------------------------------------------------
-# Fused batch distortion: every ball's trees in a handful of sweeps
-# ----------------------------------------------------------------------
 
 def _fused_closeness_scores(
     fused: FusedBatch, sources_per_ball: List[List[int]]
@@ -247,9 +107,11 @@ def _fused_closeness_scores(
 def _fused_parents(fused: FusedBatch, dist: np.ndarray) -> np.ndarray:
     """Canonical min-index BFS parents over the whole fused union.
 
-    Like :func:`canonical_bfs_parents` but for every ball at once:
-    node-index order within a ball is preserved by the fused shift, so
-    each ball's slice is its own canonical parent vector.  Roots (and
+    Every non-root node's parent is its smallest-index neighbor one
+    level up — the tree ``repro.metrics.distortion.
+    _canonical_bfs_parents`` builds node by node.  Node-index order
+    within a ball is preserved by the fused shift, so each ball's slice
+    is its own canonical parent vector.  Roots (and
     nodes unreached in this sweep) keep the sentinel ``n`` — the LCA
     machinery maps any out-of-range parent to "self".
     """
@@ -265,11 +127,12 @@ def _fused_parents(fused: FusedBatch, dist: np.ndarray) -> np.ndarray:
 def _fused_tree_totals(
     fused: FusedBatch, parent: np.ndarray, depth: np.ndarray
 ) -> np.ndarray:
-    """Per-ball :func:`tree_edge_distance_total`, one lifted LCA pass.
+    """Per-ball integer total of tree distances over every graph edge.
 
-    Returns an int64 vector of length ``len(fused)``.  Edges never
-    cross balls, so one binary-lifting table over the union serves all
-    trees at once; each edge's contribution is scattered into its
+    Each undirected edge ``(u, v)`` contributes ``depth[u] + depth[v] -
+    2 * depth[lca(u, v)]``.  Returns an int64 vector of length
+    ``len(fused)``.  Edges never cross balls, so one binary-lifting
+    table over the union serves all trees at once; each edge's contribution is scattered into its
     ball's total with an exact integer ``np.add.at``.  Balls whose
     slots were inactive in this sweep (all-:data:`UNREACHED` depths)
     contribute ``-1 + -1 - 2 * -1 == 0`` per edge and read back 0 —
@@ -319,20 +182,23 @@ def distortion_csr_batch(
     rng: Optional[random.Random] = None,
     random_roots: int = _RANDOM_ROOTS,
 ) -> List[float]:
-    """Every ball's :func:`distortion_csr`, in a handful of fused sweeps.
+    """Every ball's distortion, in a handful of fused sweeps.
 
-    Bitwise equal to ``[distortion_csr(fused.sub_csr(b), rng) ...]`` on
-    the *same* rng: the twin's draws (``rng.sample`` for the closeness
-    sources, ``rng.randrange`` per random root) depend only on each
-    ball's node count, so they are replayed per ball in schedule order
-    up front, before any fused array work.  Edgeless balls draw nothing
-    and score 0.0; disconnected balls fall back to the scalar twin *in
-    sequence* (it consumes the rng exactly as the per-ball loop would).
-    Connected balls then share one packed closeness sweep and one
-    BFS + parents + LCA pass per root *slot* (center / max-degree /
-    each random root) instead of per ball.
+    Scores the closeness-center, max-degree and ``random_roots``
+    random-rooted canonical BFS trees of each ball.  Bitwise equal to
+    ``[distortion_of(fused.sub_csr(b).thaw(), rng) ...]`` on the *same*
+    rng: the twin's draws (``rng.sample`` for the closeness sources,
+    ``rng.randrange`` per random root) depend only on each ball's node
+    count, so they are replayed per ball in schedule order up front,
+    before any fused array work.  Edgeless balls draw nothing and score
+    0.0; disconnected balls fall back to the dict twin *in sequence*
+    (it consumes the rng exactly as a per-ball loop would).  Connected
+    balls then share one packed closeness sweep and one BFS + parents +
+    LCA pass per root *slot* (center / max-degree / each random root)
+    instead of per ball.
     """
     rng = rng if rng is not None else random.Random(0)
+    from repro.metrics.distortion import distortion_of  # deferred: layering
     num_balls = len(fused)
     results: List[float] = [0.0] * num_balls
     if num_balls == 0:
@@ -357,11 +223,10 @@ def distortion_csr_batch(
         hi = int(fused.node_offsets[b + 1])
         n_b = hi - lo
         if bool((probe[lo:hi] == UNREACHED).any()):
-            # Disconnected: the scalar twin re-probes and delegates to
-            # the dict implementation, consuming the rng here, in the
-            # same schedule position as a per-ball loop would.
-            results[b] = distortion_csr(
-                fused.sub_csr(b), rng=rng, random_roots=random_roots
+            # Disconnected: the dict twin consumes the rng here, in
+            # the same schedule position as a per-ball loop would.
+            results[b] = distortion_of(
+                fused.sub_csr(b).thaw(), rng=rng, random_roots=random_roots
             )
             continue
         if n_b <= CENTER_SOURCES:

@@ -1,6 +1,6 @@
 """The ``repro selfcheck`` differential/fuzzing harness.
 
-Runs twelve families of checks over seeded random inputs and reports a
+Runs eleven families of checks over seeded random inputs and reports a
 single pass/fail verdict, so one command answers "are the metric
 implementations still trustworthy?":
 
@@ -37,24 +37,20 @@ implementations still trustworthy?":
     bit-identically to ``Graph.freeze()`` regardless of chunking, and
     the builder's incremental union-find agrees with ``is_connected``.
 ``kernels``
-    The CSR-native metric kernels vs. their pure-Python twins, in four
-    sub-streams mirroring the kernel modules: *flow* (batched
-    Edmonds–Karp max-flow/min-cut vs. Dinic, incl. the big-int overflow
-    fallback, plus ``bisection_cut_csr``/``resilience_csr`` vs. the
-    multilevel partitioner under a shared RNG stream), *tree*
-    (``distortion_csr`` vs. ``distortion_of``), *biconn*
-    (``count_biconnected_csr`` vs. the Tarjan dict walk) and *cover*
-    (``vertex_cover_size_csr`` vs. the matching/greedy heuristic) — all
-    bitwise, plus ``BallBatch`` sub-CSRs vs. per-ball induced subgraphs.
-``batch``
-    Fused batch execution vs. the per-ball oracle: every segmented
-    kernel over a :class:`~repro.graph.kernels.FusedBatch` sliced back
-    per ball vs. a ``sub_csr`` loop, the ``distortion_csr_batch``/
-    ``resilience_csr_batch`` entry points vs. their scalar twins under
-    one shared RNG stream (same draws, same order, same final RNG
-    state), ``MetricEngine(use_batch=True)`` vs. ``False`` across all
-    seven series, and a shared-memory publish/attach/release round-trip
-    that must be bitwise lossless and leave ``/dev/shm`` clean.
+    The fused CSR metric kernels vs. the dict oracles, all bitwise:
+    batched Edmonds–Karp max-flow/min-cut vs. Dinic with the min cut
+    certifying the flow, the big-int overflow fallback,
+    ``bisection_cut_csr`` vs. the multilevel partitioner, every
+    segmented kernel over a :class:`~repro.graph.kernels.FusedBatch`
+    sliced back per ball vs. the dict oracle on the thawed ball, the
+    ``distortion_csr_batch``/``resilience_csr_batch`` entry points vs.
+    ``distortion_of``/``resilience_of`` under one shared RNG stream
+    (same draws, same order, same final RNG state; a disconnected ball
+    exercises the dict fallback), ``MetricEngine(use_csr=True)`` vs.
+    ``False`` across all seven series, ``BallBatch`` sub-CSRs vs.
+    per-ball induced subgraphs, and a shared-memory publish/attach
+    round-trip that must be bitwise lossless and leave ``/dev/shm``
+    clean.
 ``faults``
     The fault-tolerant runtime (:mod:`repro.runtime`): injected crashes
     and garbage results are retried to a bitwise-identical run,
@@ -808,22 +804,38 @@ def _check_streaming(rng: random.Random, report: FamilyReport) -> None:
 
 
 def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
-    """Differential checks: CSR metric kernels vs. their dict twins.
+    """Differential checks: the fused CSR metric kernels vs. the dict oracles.
 
-    Four sub-streams, one per kernel surface (flow, tree, biconn,
-    cover), each asserting **bitwise** equality — the kernels are not
-    approximations of the pure-Python metric cores, they are the same
-    canonical algorithms re-expressed over arrays, so any drift is a
-    bug.  The RNG-consuming kernels are driven with a fresh
-    ``random.Random`` seeded identically to the twin's, which also
-    verifies the kernels draw the same stream in the same order.
+    Every check is **bitwise** — the kernels are not approximations of
+    the pure-Python metric cores, they are the same canonical algorithms
+    re-expressed over arrays, so any drift is a bug.  Sub-streams:
+
+    * *flow* — array Edmonds–Karp vs. Dinic (the residual side must
+      certify the flow), the big-int overflow fallback, and
+      ``bisection_cut_csr`` vs. the dict partitioner under a shared RNG
+      stream;
+    * *segmented kernels* — every kernel over a
+      :class:`~repro.graph.kernels.FusedBatch`, sliced back per ball, vs.
+      the dict oracle on ``sub_csr(i).thaw()``; the whole (possibly
+      disconnected) graph rides along as one ball;
+    * *batch metric entry points* — ``distortion_csr_batch``/
+      ``resilience_csr_batch`` vs. ``distortion_of``/``resilience_of``
+      per ball under one shared RNG stream (same draws, same order, same
+      final RNG state), including the disconnected-ball fallback;
+    * *engine* — ``use_csr=True`` vs. ``False`` across all seven series;
+    * *slicing and transport* — ``BallBatch`` sub-CSRs vs. per-ball
+      induced subgraphs, and a shared-memory publish/attach round-trip
+      that must be bitwise lossless and leave no live segment.
     """
     import numpy as np
 
+    from repro.engine import MetricEngine, MetricRequest
     from repro.graph import kernels as kernels_mod
     from repro.graph import kernels_flow as flow_mod
     from repro.graph import kernels_trees as trees_mod
     from repro.graph.components import count_biconnected_components
+    from repro.graph.cover import matching_vertex_cover
+    from repro.runtime import shm as shm_mod
 
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
@@ -869,7 +881,7 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     if big_reach != reachable:
         fail("big-int fallback returned a different min-cut side")
 
-    # --- flow: balanced bisection + resilience vs. the dict twins -----
+    # --- flow: balanced bisection vs. the dict partitioner ------------
     report.checks += 1
     g = random_connected_graph(rng)
     stream = rng.getrandbits(32)
@@ -885,41 +897,105 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
             f"{want_cut} for the same RNG stream"
         )
 
+    # --- segmented kernels: fused union sliced back == dict oracle ----
     report.checks += 1
-    gd = random_graph(rng)  # possibly disconnected: exercises delegation
-    csr_d = gd.freeze()
-    stream = rng.getrandbits(32)
-    got_r = flow_mod.resilience_csr(csr_d, rng=random.Random(stream), trials=3)
-    want_r = resilience_mod.resilience_of(
-        gd, rng=random.Random(stream), trials=3
+    gd = random_graph(rng, 4, 24)  # possibly disconnected
+    csr = gd.freeze()
+    n = csr.number_of_nodes()
+    members_list = []
+    for _ in range(rng.randint(0, 4)):
+        dist0 = kernels_mod.bfs_levels(csr, rng.randrange(n))
+        members_list.append(kernels_mod.ball_members(dist0, rng.randint(0, 4)))
+    members_list.insert(
+        rng.randint(0, len(members_list)), np.arange(n, dtype=np.int64)
     )
-    if got_r != want_r:
-        fail(f"resilience_csr {got_r} != resilience_of {want_r}")
+    batch = kernels_mod.BallBatch(csr, members_list)
+    fused = kernels_mod.FusedBatch(batch)
+    balls = [batch.sub_csr(i).thaw() for i in range(len(batch))]
+    degs = kernels_mod.fused_degrees(fused)
+    sources = np.array(
+        [
+            int(fused.node_offsets[b]) if fused.ball_size(b) else -1
+            for b in range(len(fused))
+        ],
+        dtype=np.int64,
+    )
+    dist = kernels_mod.fused_bfs_levels(fused, sources)
+    counts = kernels_mod.fused_level_counts(fused, dist)
+    matching = kernels_mod.batch_matching_cover_sizes(fused)
+    covers = kernels_mod.batch_vertex_cover_sizes(fused)
+    biconn = kernels_mod.batch_biconnected_counts(fused)
+    for i, ball in enumerate(balls):
+        nodes = ball.nodes()
+        sl = fused.ball_slice(i)
+        if degs[sl].tolist() != [ball.degree(v) for v in nodes]:
+            fail(f"fused_degrees slice != dict degrees on ball {i}")
+        if nodes:
+            want = bfs_distances(ball, nodes[0])
+            got = dist[sl].tolist()
+            if got != [want.get(v, kernels_mod.UNREACHED) for v in nodes]:
+                fail(f"fused_bfs_levels slice != bfs_distances on ball {i}")
+            want_counts = [0] * (max(want.values()) + 1)
+            for d in want.values():
+                want_counts[d] += 1
+            if counts[i].tolist() != want_counts:
+                fail(f"fused_level_counts != bfs_distances layers on ball {i}")
+        if int(matching[i]) != len(matching_vertex_cover(ball)):
+            fail(f"batch_matching_cover_sizes != dict matching on ball {i}")
+        if covers[i] != vertex_cover_size(ball):
+            fail(f"batch_vertex_cover_sizes != vertex_cover_size on ball {i}")
+        if biconn[i] != count_biconnected_components(ball):
+            fail(
+                f"batch_biconnected_counts != count_biconnected_components "
+                f"on ball {i}"
+            )
 
-    # --- tree: spanning-tree distortion kernel vs. the dict twin ------
-    report.checks += 1
-    stream = rng.getrandbits(32)
-    got_d = trees_mod.distortion_csr(csr_d, rng=random.Random(stream))
-    want_d = distortion_of(gd, rng=random.Random(stream))
-    if got_d != want_d:
-        fail(f"distortion_csr {got_d} != distortion_of {want_d}")
+    # --- batch metric entry points: one shared RNG stream -------------
+    for name, run_batch, run_dict in (
+        (
+            "distortion_csr_batch",
+            lambda r: trees_mod.distortion_csr_batch(fused, rng=r),
+            lambda ball, r: distortion_of(ball, rng=r),
+        ),
+        (
+            "resilience_csr_batch",
+            lambda r: flow_mod.resilience_csr_batch(fused, rng=r, trials=3),
+            lambda ball, r: resilience_mod.resilience_of(ball, rng=r, trials=3),
+        ),
+    ):
+        report.checks += 1
+        stream = rng.getrandbits(32)
+        dict_rng, batch_rng = random.Random(stream), random.Random(stream)
+        want = [run_dict(ball, dict_rng) for ball in balls]
+        got = run_batch(batch_rng)
+        if [repr(v) for v in want] != [repr(v) for v in got]:
+            fail(f"{name} {got} != dict oracle per ball {want}")
+        if dict_rng.getrandbits(64) != batch_rng.getrandbits(64):
+            fail(f"{name} left the RNG stream in a different state")
 
-    # --- biconn: array-stack Tarjan vs. the recursive dict walk -------
+    # --- engine: fused CSR path == dict oracle across seven series ----
     report.checks += 1
-    got_b = kernels_mod.count_biconnected_csr(csr_d)
-    want_b = count_biconnected_components(gd)
-    if got_b != want_b:
-        fail(
-            f"count_biconnected_csr {got_b} != "
-            f"count_biconnected_components {want_b}"
+    ge = random_connected_graph(rng, 8, 16)
+    seed = rng.getrandbits(16)
+    requests = [
+        MetricRequest(name, num_centers=3, seed=seed)
+        for name in (
+            "expansion",
+            "resilience",
+            "distortion",
+            "vertex_cover",
+            "biconnectivity",
+            "clustering",
+            "path_length",
         )
-
-    # --- cover: matching/greedy kernel vs. the dict heuristic ---------
-    report.checks += 1
-    got_c = kernels_mod.vertex_cover_size_csr(csr_d)
-    want_c = vertex_cover_size(gd)
-    if got_c != want_c:
-        fail(f"vertex_cover_size_csr {got_c} != vertex_cover_size {want_c}")
+    ]
+    csr_run = MetricEngine(use_cache=False).compute(ge, requests)
+    dict_run = MetricEngine(use_cache=False, use_csr=False).compute(
+        ge, requests
+    )
+    for name in csr_run:
+        if repr(csr_run[name]) != repr(dict_run[name]):
+            fail(f"engine series {name!r}: use_csr=True != use_csr=False")
 
     # --- BallBatch: batched sub-CSRs == one-at-a-time extraction ------
     report.checks += 1
@@ -939,125 +1015,6 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
             and np.array_equal(batched.indices, solo.indices)
         ):
             fail(f"BallBatch.sub_csr({i}) != induced_subgraph on ball {i}")
-
-
-def _check_batch(rng: random.Random, report: FamilyReport) -> None:
-    """Differential checks: fused batch execution vs. the per-ball oracle.
-
-    Three sub-streams: *segmented kernels* (every fused kernel sliced
-    back per ball vs. a ``sub_csr`` loop), *batch metric entry points*
-    (``distortion_csr_batch``/``resilience_csr_batch`` vs. the scalar
-    twins under one shared RNG stream — which also proves the batch
-    path makes the identical draws in the identical order), and
-    *engine + transport* (``use_batch`` on vs. off across all seven
-    series, plus a shared-memory publish/attach round-trip that must
-    hand back bitwise-identical arrays and leave no live segment).
-    """
-    import numpy as np
-
-    from repro.engine import MetricEngine, MetricRequest
-    from repro.graph import kernels as kernels_mod
-    from repro.graph import kernels_flow as flow_mod
-    from repro.graph import kernels_trees as trees_mod
-    from repro.runtime import shm as shm_mod
-
-    def fail(msg: str) -> None:
-        report.failures.append(CheckFailure(report.family, report.checks, msg))
-
-    # --- segmented kernels: fused union == per-ball sub_csr loop ------
-    report.checks += 1
-    g = random_graph(rng, 4, 24)
-    csr = g.freeze()
-    n = csr.number_of_nodes()
-    members_list = []
-    for _ in range(rng.randint(0, 4)):
-        dist0 = kernels_mod.bfs_levels(csr, rng.randrange(n))
-        members_list.append(
-            kernels_mod.ball_members(dist0, rng.randint(0, 4))
-        )
-    batch = kernels_mod.BallBatch(csr, members_list)
-    fused = kernels_mod.FusedBatch(batch)
-    subs = [batch.sub_csr(i) for i in range(len(batch))]
-    degs = kernels_mod.fused_degrees(fused)
-    sources = np.array(
-        [
-            int(fused.node_offsets[b]) if fused.ball_size(b) else -1
-            for b in range(len(fused))
-        ],
-        dtype=np.int64,
-    )
-    dist = kernels_mod.fused_bfs_levels(fused, sources)
-    counts = kernels_mod.fused_level_counts(fused, dist)
-    matching = kernels_mod.batch_matching_cover_sizes(fused)
-    covers = kernels_mod.batch_vertex_cover_sizes(fused)
-    biconn = kernels_mod.batch_biconnected_counts(fused)
-    for i, sub in enumerate(subs):
-        lo, hi = int(fused.node_offsets[i]), int(fused.node_offsets[i + 1])
-        if not np.array_equal(degs[lo:hi], kernels_mod.degree_vector(sub)):
-            fail(f"fused_degrees slice != degree_vector on ball {i}")
-        if sub.number_of_nodes():
-            solo_dist = kernels_mod.bfs_levels(sub, 0)
-            if not np.array_equal(dist[lo:hi], solo_dist):
-                fail(f"fused_bfs_levels slice != bfs_levels on ball {i}")
-            if not np.array_equal(
-                counts[i], kernels_mod.level_counts(solo_dist)
-            ):
-                fail(f"fused_level_counts != level_counts on ball {i}")
-        if int(matching[i]) != kernels_mod.matching_cover_size(sub):
-            fail(f"batch_matching_cover_sizes != twin on ball {i}")
-        if covers[i] != kernels_mod.vertex_cover_size_csr(sub):
-            fail(f"batch_vertex_cover_sizes != twin on ball {i}")
-        if biconn[i] != kernels_mod.count_biconnected_csr(sub):
-            fail(f"batch_biconnected_counts != twin on ball {i}")
-
-    # --- batch metric entry points: one shared RNG stream -------------
-    report.checks += 1
-    stream = rng.getrandbits(32)
-    solo_rng, batch_rng = random.Random(stream), random.Random(stream)
-    want = [trees_mod.distortion_csr(sub, rng=solo_rng) for sub in subs]
-    got = trees_mod.distortion_csr_batch(fused, rng=batch_rng)
-    if [repr(v) for v in want] != [repr(v) for v in got]:
-        fail(f"distortion_csr_batch {got} != per-ball twin {want}")
-    if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
-        fail("distortion_csr_batch left the RNG stream in a different state")
-
-    report.checks += 1
-    stream = rng.getrandbits(32)
-    solo_rng, batch_rng = random.Random(stream), random.Random(stream)
-    want = [
-        flow_mod.resilience_csr(sub, rng=solo_rng, trials=3) for sub in subs
-    ]
-    got = flow_mod.resilience_csr_batch(fused, rng=batch_rng, trials=3)
-    if [repr(v) for v in want] != [repr(v) for v in got]:
-        fail(f"resilience_csr_batch {got} != per-ball twin {want}")
-    if solo_rng.getrandbits(64) != batch_rng.getrandbits(64):
-        fail("resilience_csr_batch left the RNG stream in a different state")
-
-    # --- engine: use_batch on == off across all seven series ----------
-    report.checks += 1
-    ge = random_connected_graph(rng, 8, 16)
-    seed = rng.getrandbits(16)
-    requests = [
-        MetricRequest(name, num_centers=3, seed=seed)
-        for name in (
-            "expansion",
-            "resilience",
-            "distortion",
-            "vertex_cover",
-            "biconnectivity",
-            "clustering",
-            "path_length",
-        )
-    ]
-    fused_run = MetricEngine(use_cache=False, use_batch=True).compute(
-        ge, requests
-    )
-    oracle_run = MetricEngine(use_cache=False, use_batch=False).compute(
-        ge, requests
-    )
-    for name in fused_run:
-        if repr(fused_run[name]) != repr(oracle_run[name]):
-            fail(f"use_batch engine series {name!r} != per-ball series")
 
     # --- transport: shm publish/attach round-trip, refcounted unlink --
     report.checks += 1
@@ -1367,7 +1324,6 @@ _FAMILIES: Dict[str, tuple] = {
     "csr": (_check_csr, 1),
     "streaming": (_check_streaming, 1),
     "kernels": (_check_kernels, 1),
-    "batch": (_check_batch, 2),
     "service": (_check_service, 3),
     "shards": (_check_shards, 3),
 }

@@ -456,7 +456,7 @@ def test_cache_key_covers_params_and_seed():
 # ----------------------------------------------------------------------
 
 def _strip_kernels(monkeypatch):
-    """Disable every registered kernel_evaluator, keeping use_csr=True.
+    """Disable every registered batch_evaluator, keeping use_csr=True.
 
     This isolates the kernel layer from the CSR representation: the
     engine still runs on frozen graphs and batched distances, but every
@@ -467,19 +467,19 @@ def _strip_kernels(monkeypatch):
     from repro.engine import requests as requests_mod
 
     for name, spec in list(requests_mod.METRICS.items()):
-        if spec.kernel_evaluator is not None:
+        if spec.batch_evaluator is not None:
             monkeypatch.setitem(
                 requests_mod.METRICS,
                 name,
-                dataclasses.replace(spec, kernel_evaluator=None),
+                dataclasses.replace(spec, batch_evaluator=None),
             )
 
 
 @pytest.mark.parametrize("graph_name,graph", graphs())
 def test_kernels_on_off_bitwise_identical(graph_name, graph, monkeypatch):
-    # All seven series with the CSR metric kernels dispatched, vs. the
-    # same engine with every kernel_evaluator stripped: bitwise equal,
-    # including the RunReport status blocks.
+    # All seven series with the fused CSR metric kernels dispatched, vs.
+    # the same engine with every batch_evaluator stripped: bitwise
+    # equal, including the RunReport status blocks.
     requests = [request_for(name) for name in sorted(LEGACY_FUNCTIONS)]
     kernel_engine = engine()
     with_kernels = kernel_engine.compute(graph, requests)
@@ -494,7 +494,7 @@ def test_kernels_on_off_bitwise_identical(graph_name, graph, monkeypatch):
 def test_kernel_registry_covers_the_non_bfs_ball_metrics():
     from repro.engine.requests import METRICS
 
-    kernelized = {n for n, s in METRICS.items() if s.kernel_evaluator is not None}
+    kernelized = {n for n, s in METRICS.items() if s.batch_evaluator is not None}
     assert kernelized == {
         "resilience",
         "distortion",

@@ -3,15 +3,14 @@
 ``FusedBatch`` concatenates a ``BallBatch``'s per-ball CSR graphs into
 one disjoint-union CSR so the segmented kernels can sweep every ball in
 a single pass.  The contract is *bitwise*: slicing any fused result back
-per ball must reproduce the per-ball ``sub_csr`` loop byte for byte —
+per ball must reproduce the dict oracle on ``sub_csr(i).thaw()`` —
 same integers, same final floats, same RNG draws in the same order.
 
 This suite pins the degenerate shapes (empty batches, empty member
-lists, singleton balls, the whole graph as one ball, int32-boundary
-offsets) and then lets Hypothesis draw arbitrary graphs and arbitrary
-ball chunkings, checking every segmented kernel and both batch metric
-entry points — plus the engine's ``use_batch`` toggle across all seven
-metric series.
+lists, singleton balls, the whole graph as one ball, disconnected
+balls that take the dict fallback, int32-boundary offsets) and then
+lets Hypothesis draw arbitrary graphs and arbitrary ball chunkings,
+checking every segmented kernel and both batch metric entry points.
 """
 
 import random
@@ -20,9 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import MetricEngine, MetricRequest
 from repro.graph import kernels
+from repro.graph.components import count_biconnected_components
 from repro.graph.core import Graph
+from repro.graph.cover import matching_vertex_cover, vertex_cover_size
 from repro.graph.kernels import (
     BallBatch,
     FusedBatch,
@@ -34,19 +34,12 @@ from repro.graph.kernels import (
     fused_degrees,
     fused_level_counts,
 )
-from repro.graph.kernels_flow import resilience_csr, resilience_csr_batch
-from repro.graph.kernels_trees import distortion_csr, distortion_csr_batch
-from repro.testing.strategies import connected_graphs, graphs
-
-ALL_SERIES = (
-    "expansion",
-    "resilience",
-    "distortion",
-    "vertex_cover",
-    "biconnectivity",
-    "clustering",
-    "path_length",
-)
+from repro.graph.kernels_flow import resilience_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
+from repro.graph.traversal import bfs_distances
+from repro.metrics.distortion import distortion_of
+from repro.metrics.resilience import resilience_of
+from repro.testing.strategies import graphs
 
 
 def path_graph(n: int) -> Graph:
@@ -63,8 +56,9 @@ def fuse(csr, members_list):
 
 
 def assert_fused_matches_per_ball(batch, fused, seed: int) -> None:
-    """Every segmented kernel and batch metric == the per-ball loop."""
-    subs = [batch.sub_csr(i) for i in range(len(batch))]
+    """Every segmented kernel and batch metric == the dict oracle on
+    each thawed ball, RNG end state included."""
+    balls = [batch.sub_csr(i).thaw() for i in range(len(batch))]
 
     degs = fused_degrees(fused)
     sources = np.array(
@@ -80,32 +74,38 @@ def assert_fused_matches_per_ball(batch, fused, seed: int) -> None:
     covers = batch_vertex_cover_sizes(fused)
     biconn = batch_biconnected_counts(fused)
 
-    for i, sub in enumerate(subs):
+    for i, ball in enumerate(balls):
+        nodes = ball.nodes()
         sl = fused.ball_slice(i)
-        assert fused.ball_size(i) == sub.number_of_nodes()
-        assert fused.ball_edge_count(i) == sub.number_of_edges()
-        assert np.array_equal(degs[sl], kernels.degree_vector(sub))
-        if sub.number_of_nodes():
-            solo = kernels.bfs_levels(sub, 0)
-            assert np.array_equal(dist[sl], solo)
-            assert np.array_equal(counts[i], kernels.level_counts(solo))
-        assert int(matching[i]) == kernels.matching_cover_size(sub)
-        assert covers[i] == kernels.vertex_cover_size_csr(sub)
-        assert biconn[i] == kernels.count_biconnected_csr(sub)
+        assert fused.ball_size(i) == ball.number_of_nodes()
+        assert fused.ball_edge_count(i) == ball.number_of_edges()
+        assert degs[sl].tolist() == [ball.degree(v) for v in nodes]
+        if nodes:
+            want = bfs_distances(ball, nodes[0])
+            assert dist[sl].tolist() == [
+                want.get(v, kernels.UNREACHED) for v in nodes
+            ]
+            layers = [0] * (max(want.values()) + 1)
+            for d in want.values():
+                layers[d] += 1
+            assert counts[i].tolist() == layers
+        assert int(matching[i]) == len(matching_vertex_cover(ball))
+        assert covers[i] == vertex_cover_size(ball)
+        assert biconn[i] == count_biconnected_components(ball)
 
-    solo_rng, batch_rng = random.Random(seed), random.Random(seed)
-    want = [distortion_csr(sub, rng=solo_rng) for sub in subs]
+    dict_rng, batch_rng = random.Random(seed), random.Random(seed)
+    want = [distortion_of(ball, rng=dict_rng) for ball in balls]
     got = distortion_csr_batch(fused, rng=batch_rng)
     assert [repr(v) for v in want] == [repr(v) for v in got]
-    assert solo_rng.getrandbits(64) == batch_rng.getrandbits(64)
+    assert dict_rng.getrandbits(64) == batch_rng.getrandbits(64)
 
-    solo_rng, batch_rng = random.Random(seed ^ 0x5DEECE), random.Random(
+    dict_rng, batch_rng = random.Random(seed ^ 0x5DEECE), random.Random(
         seed ^ 0x5DEECE
     )
-    want = [resilience_csr(sub, rng=solo_rng, trials=3) for sub in subs]
+    want = [resilience_of(ball, rng=dict_rng, trials=3) for ball in balls]
     got = resilience_csr_batch(fused, rng=batch_rng, trials=3)
     assert [repr(v) for v in want] == [repr(v) for v in got]
-    assert solo_rng.getrandbits(64) == batch_rng.getrandbits(64)
+    assert dict_rng.getrandbits(64) == batch_rng.getrandbits(64)
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +183,36 @@ def test_duplicate_and_overlapping_balls_stay_independent():
     assert_fused_matches_per_ball(batch, fused, seed=17)
 
 
+def two_component_graph() -> Graph:
+    rng = random.Random(11)
+    g = Graph(name="two-components")
+    g.add_node(0)
+    for i in range(1, 24):
+        g.add_edge(i, rng.randrange(i))
+    for i in range(25, 40):
+        g.add_edge(i, rng.randrange(24, i))
+    for _ in range(12):
+        g.add_edge(rng.randrange(24), rng.randrange(24))
+    return g
+
+
+@pytest.mark.parametrize(
+    "graph,members",
+    [
+        (path_graph(6), [[0, 1, 2], [0, 1, 4, 5], [0, 2, 4]]),
+        (two_component_graph(), [[0, 1, 2], list(range(40)), list(range(24, 40))]),
+    ],
+    ids=["path-gaps", "two-components-whole"],
+)
+def test_disconnected_balls_take_the_dict_fallback(graph, members):
+    # Engine balls are BFS balls and always connected; hand-picked
+    # member sets reach the resilience/distortion dict fallback.
+    batch, fused = fuse(
+        graph.freeze(), [np.array(m, dtype=np.int64) for m in members]
+    )
+    assert_fused_matches_per_ball(batch, fused, seed=29)
+
+
 def test_fused_offsets_survive_the_int32_boundary():
     node_offsets, edge_offsets = _fused_offsets([2**30] * 3, [2**31] * 3)
     assert node_offsets.dtype == np.int64
@@ -218,20 +248,3 @@ def test_fused_equals_per_ball_loop_byte_for_byte(drawn):
     csr, members_list, seed = drawn
     batch, fused = fuse(csr, members_list)
     assert_fused_matches_per_ball(batch, fused, seed)
-
-
-@given(connected_graphs(min_nodes=3, max_nodes=10), st.integers(0, 2**16 - 1))
-@settings(max_examples=15, deadline=None)
-def test_engine_use_batch_matches_per_ball_on_all_seven_series(g, seed):
-    requests = [
-        MetricRequest(name, num_centers=3, seed=seed) for name in ALL_SERIES
-    ]
-    fused_run = MetricEngine(use_cache=False, use_batch=True).compute(
-        g, requests
-    )
-    oracle_run = MetricEngine(use_cache=False, use_batch=False).compute(
-        g, requests
-    )
-    assert set(fused_run) == set(ALL_SERIES)
-    for name in ALL_SERIES:
-        assert repr(fused_run[name]) == repr(oracle_run[name])

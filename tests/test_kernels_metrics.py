@@ -4,8 +4,10 @@ The kernels in :mod:`repro.graph.kernels_flow` /
 :mod:`repro.graph.kernels_trees` / :mod:`repro.graph.kernels` are not
 approximations: each one re-expresses the *same* canonical algorithm as
 its pure-Python twin over flat arrays, so its output must be **bitwise**
-identical — same integers, same final floats, same RNG draws.  This
-suite enforces that contract three ways:
+identical — same integers, same final floats, same RNG draws.  The ball
+metrics run through the fused batch entry points; a single graph is a
+one-ball :class:`~repro.graph.kernels.FusedBatch`.  This suite enforces
+that contract three ways:
 
 * per-kernel differential tests against the dict twins on
   Hypothesis-drawn graphs (trees, connected, disconnected, bridge);
@@ -35,9 +37,9 @@ from repro.graph.kernels_flow import (
     _max_flow_bigint,
     bisection_cut_csr,
     max_flow_min_cut,
-    resilience_csr,
+    resilience_csr_batch,
 )
-from repro.graph.kernels_trees import distortion_csr
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.graph.partition import bisection_cut_size
 from repro.metrics.distortion import distortion_of
 from repro.metrics.resilience import resilience_of
@@ -149,9 +151,35 @@ def test_negative_capacity_is_rejected_by_the_array_path():
 # Metric kernels vs. their dict twins, bitwise
 # ----------------------------------------------------------------------
 
+def one_ball(csr):
+    """``csr`` as a one-ball fused batch (every node, ascending)."""
+    members = np.arange(csr.number_of_nodes(), dtype=np.int64)
+    return kernels.FusedBatch(kernels.BallBatch(csr, [members]))
+
+
+def resilience_kernel(csr, rng):
+    (value,) = resilience_csr_batch(one_ball(csr), rng=rng, trials=3)
+    return value
+
+
+def distortion_kernel(csr, rng):
+    (value,) = distortion_csr_batch(one_ball(csr), rng=rng)
+    return value
+
+
+def vertex_cover_kernel(csr):
+    (value,) = kernels.batch_vertex_cover_sizes(one_ball(csr))
+    return value
+
+
+def biconnectivity_kernel(csr):
+    (value,) = kernels.batch_biconnected_counts(one_ball(csr))
+    return value
+
+
 @given(ALL_SHAPES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_resilience_kernel_bitwise(g, seed):
-    got = resilience_csr(g.freeze(), rng=random.Random(seed), trials=3)
+    got = resilience_kernel(g.freeze(), random.Random(seed))
     want = resilience_of(g, rng=random.Random(seed), trials=3)
     assert got == want
 
@@ -165,7 +193,7 @@ def test_bisection_kernel_bitwise(g, seed):
 
 @given(ALL_SHAPES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_distortion_kernel_bitwise(g, seed):
-    got = distortion_csr(g.freeze(), rng=random.Random(seed))
+    got = distortion_kernel(g.freeze(), random.Random(seed))
     want = distortion_of(g, rng=random.Random(seed))
     assert got == want
 
@@ -173,25 +201,23 @@ def test_distortion_kernel_bitwise(g, seed):
 @given(trees(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_distortion_kernel_exact_on_trees(g, seed):
     # A tree's only spanning tree is itself: distortion is exactly 1.
-    assert distortion_csr(g.freeze(), rng=random.Random(seed)) == 1.0
+    assert distortion_kernel(g.freeze(), random.Random(seed)) == 1.0
 
 
 @given(ALL_SHAPES)
 def test_vertex_cover_kernel_bitwise(g):
-    assert kernels.vertex_cover_size_csr(g.freeze()) == vertex_cover_size(g)
+    assert vertex_cover_kernel(g.freeze()) == vertex_cover_size(g)
 
 
 @given(ALL_SHAPES)
 def test_biconnectivity_kernel_bitwise(g):
-    assert kernels.count_biconnected_csr(g.freeze()) == count_biconnected_components(
-        g
-    )
+    assert biconnectivity_kernel(g.freeze()) == count_biconnected_components(g)
 
 
 @given(graphs(min_nodes=2, max_nodes=9))
 def test_vertex_cover_kernel_within_oracle_bounds(g):
     exact = oracles.oracle_min_vertex_cover_size(g)
-    got = kernels.vertex_cover_size_csr(g.freeze())
+    got = vertex_cover_kernel(g.freeze())
     assert exact <= got <= 2 * exact
 
 
@@ -247,25 +273,32 @@ def test_ballbatch_grouping_invariance(g, seed, split_sizes):
 )
 def test_ballbatch_kernel_values_grouping_invariant(g, seed):
     """Per-ball kernel *values* are identical whether the ball came from
-    a shared batch or a singleton batch — the engine may batch balls
+    a shared batch or a one-ball batch — the engine may batch balls
     however it likes without perturbing a single float."""
     rng = random.Random(seed)
     csr = g.freeze()
     balls = _ball_list(csr, rng)
-    batch = kernels.BallBatch(csr, balls)
-    for i in range(len(balls)):
-        shared = batch.sub_csr(i)
-        single = kernels.BallBatch(csr, [balls[i]]).sub_csr(0)
-        stream = rng.getrandbits(32)
-        assert resilience_csr(
-            shared, rng=random.Random(stream), trials=3
-        ) == resilience_csr(single, rng=random.Random(stream), trials=3)
-        assert distortion_csr(
-            shared, rng=random.Random(stream)
-        ) == distortion_csr(single, rng=random.Random(stream))
-        assert kernels.vertex_cover_size_csr(shared) == kernels.vertex_cover_size_csr(
-            single
-        )
-        assert kernels.count_biconnected_csr(shared) == kernels.count_biconnected_csr(
-            single
-        )
+    shared = kernels.FusedBatch(kernels.BallBatch(csr, balls))
+    singles = [
+        kernels.FusedBatch(kernels.BallBatch(csr, [members]))
+        for members in balls
+    ]
+    stream = rng.getrandbits(32)
+    shared_rng, single_rng = random.Random(stream), random.Random(stream)
+    assert resilience_csr_batch(shared, rng=shared_rng, trials=3) == [
+        value
+        for single in singles
+        for value in resilience_csr_batch(single, rng=single_rng, trials=3)
+    ]
+    assert distortion_csr_batch(shared, rng=shared_rng) == [
+        value
+        for single in singles
+        for value in distortion_csr_batch(single, rng=single_rng)
+    ]
+    assert shared_rng.getrandbits(64) == single_rng.getrandbits(64)
+    assert kernels.batch_vertex_cover_sizes(shared) == [
+        kernels.batch_vertex_cover_sizes(single)[0] for single in singles
+    ]
+    assert kernels.batch_biconnected_counts(shared) == [
+        kernels.batch_biconnected_counts(single)[0] for single in singles
+    ]

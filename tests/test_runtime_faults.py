@@ -278,7 +278,7 @@ def test_compute_context_pickle_round_trip_and_copy_fallback(baseline):
     live = pickle.loads(pickle.dumps(ctx))
     assert np.array_equal(live.csr.indptr, csr.indptr)
     assert np.array_equal(live.csr.indices, csr.indices)
-    assert live.use_csr == ctx.use_csr and live.use_batch == ctx.use_batch
+    assert live.use_csr == ctx.use_csr
     ctx.release()
     ctx.release()  # idempotent on double release
     assert_no_shm_leak()

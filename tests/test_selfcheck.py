@@ -85,7 +85,6 @@ def test_run_selfcheck_passes_and_reports_all_families():
         "csr",
         "streaming",
         "kernels",
-        "batch",
         "service",
         "shards",
     ]
@@ -235,35 +234,59 @@ def test_selfcheck_catches_kernel_bigint_fallback_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_tree_distance_off_by_one(monkeypatch):
-    """Tree sub-stream: a planted +1 in the vectorized tree-distance
-    accumulator desyncs ``distortion_csr`` from ``distortion_of``."""
+    """A planted +1 on every non-root index of the fused canonical BFS
+    parents bends the spanning trees, so ``distortion_csr_batch`` drifts
+    off ``distortion_of``."""
+    import numpy as np
+
     from repro.graph import kernels_trees
 
-    real = kernels_trees.tree_edge_distance_total
+    real = kernels_trees._fused_parents
 
-    def off_by_one(*args, **kwargs):
-        return real(*args, **kwargs) + 1
+    def off_by_one(fused, dist):
+        parent = real(fused, dist)
+        n = int(fused.node_offsets[-1])
+        return np.where(parent < n, parent + 1, parent)
 
-    monkeypatch.setattr(kernels_trees, "tree_edge_distance_total", off_by_one)
+    monkeypatch.setattr(kernels_trees, "_fused_parents", off_by_one)
     report = run_selfcheck(
         rounds=5, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
-    assert "distortion" in messages
+    assert "distortion_csr_batch" in messages
+
+
+def test_selfcheck_catches_fused_tree_total_off_by_one(monkeypatch):
+    """A planted +1 in the fused LCA tree-distance totals desyncs
+    ``distortion_csr_batch`` from ``distortion_of``."""
+    from repro.graph import kernels_trees
+
+    real = kernels_trees._fused_tree_totals
+
+    def off_by_one(fused, parent, depth):
+        return real(fused, parent, depth) + 1
+
+    monkeypatch.setattr(kernels_trees, "_fused_tree_totals", off_by_one)
+    report = run_selfcheck(
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "distortion_csr_batch" in messages
 
 
 def test_selfcheck_catches_kernel_biconn_off_by_one(monkeypatch):
-    """Biconn sub-stream: the array-stack Tarjan count drifting by one
-    block must flip the family red."""
+    """The fused array-stack Tarjan count drifting by one block must
+    flip the family red."""
     from repro.graph import kernels
 
-    real = kernels.count_biconnected_csr
+    real = kernels.batch_biconnected_counts
 
-    def off_by_one(csr):
-        return real(csr) + 1
+    def off_by_one(fused):
+        return [count + 1 for count in real(fused)]
 
-    monkeypatch.setattr(kernels, "count_biconnected_csr", off_by_one)
+    monkeypatch.setattr(kernels, "batch_biconnected_counts", off_by_one)
     report = run_selfcheck(
         rounds=5, seed=0, families=["kernels"], out=lambda _: None
     )
@@ -273,17 +296,16 @@ def test_selfcheck_catches_kernel_biconn_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_cover_off_by_one(monkeypatch):
-    """Cover sub-stream: an off-by-one in the vectorized greedy cover
-    (the usual winner of the min) desyncs the cover kernel from the
-    dict heuristic."""
+    """An off-by-one in the vectorized greedy cover (the usual winner of
+    the min) desyncs the batch cover kernel from the dict heuristic."""
     from repro.graph import kernels
 
-    real = kernels.greedy_cover_size
+    real = kernels._greedy_cover_arrays
 
-    def off_by_one(csr):
-        return real(csr) + 1
+    def off_by_one(indptr, indices):
+        return real(indptr, indices) + 1
 
-    monkeypatch.setattr(kernels, "greedy_cover_size", off_by_one)
+    monkeypatch.setattr(kernels, "_greedy_cover_arrays", off_by_one)
     report = run_selfcheck(
         rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
@@ -293,8 +315,8 @@ def test_selfcheck_catches_kernel_cover_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_fused_bfs_off_by_one(monkeypatch):
-    """Batch family: a planted +1 on every non-root fused BFS level
-    desyncs the fused sweep from the per-ball ``bfs_levels`` loop."""
+    """A planted +1 on every non-root fused BFS level desyncs the fused
+    sweep from the dict ``bfs_distances`` of each ball."""
     from repro.graph import kernels
 
     real = kernels.fused_bfs_levels
@@ -306,35 +328,16 @@ def test_selfcheck_catches_fused_bfs_off_by_one(monkeypatch):
 
     monkeypatch.setattr(kernels, "fused_bfs_levels", off_by_one)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
     assert "fused_bfs_levels" in messages
 
 
-def test_selfcheck_catches_fused_tree_total_off_by_one(monkeypatch):
-    """Batch family: a planted +1 in the fused LCA tree-distance totals
-    desyncs ``distortion_csr_batch`` from the scalar twin."""
-    from repro.graph import kernels_trees
-
-    real = kernels_trees._fused_tree_totals
-
-    def off_by_one(fused, parent, depth):
-        return real(fused, parent, depth) + 1
-
-    monkeypatch.setattr(kernels_trees, "_fused_tree_totals", off_by_one)
-    report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
-    )
-    assert not report.ok
-    messages = " ".join(f.message for f in report.families[0].failures)
-    assert "distortion_csr_batch" in messages
-
-
 def test_selfcheck_catches_batch_matching_off_by_one(monkeypatch):
-    """Batch family: the fused handshake matching drifting by one node
-    must flip both the matching and vertex-cover batch checks red."""
+    """The fused handshake matching drifting by one node must flip both
+    the matching and vertex-cover batch checks red."""
     from repro.graph import kernels
 
     real = kernels.batch_matching_cover_sizes
@@ -344,7 +347,7 @@ def test_selfcheck_catches_batch_matching_off_by_one(monkeypatch):
 
     monkeypatch.setattr(kernels, "batch_matching_cover_sizes", off_by_one)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
@@ -352,8 +355,8 @@ def test_selfcheck_catches_batch_matching_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_batch_resilience_drift(monkeypatch):
-    """Batch family: a batched resilience value drifting off the scalar
-    twin's floats must flip the family red."""
+    """A batched resilience value drifting off the dict oracle's floats
+    must flip the family red."""
     from repro.graph import kernels_flow
 
     real = kernels_flow.resilience_csr_batch
@@ -363,7 +366,7 @@ def test_selfcheck_catches_batch_resilience_drift(monkeypatch):
 
     monkeypatch.setattr(kernels_flow, "resilience_csr_batch", drifted)
     report = run_selfcheck(
-        rounds=8, seed=0, families=["batch"], out=lambda _: None
+        rounds=8, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
