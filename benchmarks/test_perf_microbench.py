@@ -5,16 +5,22 @@ pytest-benchmark's normal multi-round timing so performance regressions
 in the substrate show up: BFS, the multilevel bipartition, the policy
 product-graph BFS, pair-fraction accumulation, biconnectivity, and the
 exact bipartite cover.  ``test_perf_synthetic_as_paper_size`` is a
-one-shot wall-time guard on generating the paper-size AS graph.
+one-shot wall-time guard on generating the paper-size AS graph, and
+``test_perf_resilience_high_diameter`` one on the resilience bisection
+over the ball schedules of path- and grid-shaped graphs.
 """
 
+import random
 import time
 
 import pytest
 
 from conftest import entry
 
+from repro.generators import linear_chain, mesh
 from repro.graph.components import count_biconnected_components
+from repro.graph.kernels import BallBatch, FusedBatch, ball_members, bfs_levels
+from repro.graph.kernels_flow import resilience_csr_batch
 from repro.graph.flow import bipartite_vertex_cover_weight
 from repro.graph.partition import bisection_cut_size
 from repro.graph.traversal import bfs_distances
@@ -96,3 +102,34 @@ def test_perf_synthetic_as_paper_size():
     elapsed = time.perf_counter() - start
     assert asg.graph.number_of_nodes() == 10941
     assert elapsed < 5.0, f"paper-size AS growth took {elapsed:.1f} s"
+
+
+#: Ball schedules for the resilience guard: (graph, center, radius step).
+HIGH_DIAMETER_BALLS = {
+    # Every 10th radius around the middle of a 900-node path: 45 balls
+    # of 3 to 883 nodes.
+    "linear_chain": (lambda: linear_chain(900), 450, 10),
+    # Every radius around the center of the 30x30 mesh: 30 balls.
+    "mesh": (lambda: mesh(30), 465, 1),
+}
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("shape, bound", [("linear_chain", 1.0), ("mesh", 0.75)])
+def test_perf_resilience_high_diameter(shape, bound):
+    # Best of three on a 2-core x86 VM: about 0.2 s (linear_chain) and
+    # 0.3 s (mesh).  With a numpy call per one- or two-node BFS frontier
+    # and augmenting path, the same batches took about 2.1 s and 0.9 s.
+    make, center, step = HIGH_DIAMETER_BALLS[shape]
+    csr = make().freeze()
+    dist = bfs_levels(csr, center)
+    radii = range(1, int(dist.max()) + 1, step)
+    fused = FusedBatch(BallBatch(csr, [ball_members(dist, r) for r in radii]))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        values = resilience_csr_batch(fused, rng=random.Random(1), trials=3)
+        times.append(time.perf_counter() - start)
+    assert len(values) == len(radii) and min(values) >= 1.0
+    elapsed = min(times)
+    assert elapsed < bound, f"{shape} resilience batch took {elapsed:.2f} s"

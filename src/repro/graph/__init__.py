@@ -25,7 +25,6 @@ from repro.graph.kernels import (
     multi_source_distances,
 )
 from repro.graph.kernels_flow import (
-    FlowCapacityOverflow,
     bisection_cut_csr,
     max_flow_min_cut,
     resilience_csr_batch,
@@ -92,7 +91,6 @@ __all__ = [
     "batch_matching_cover_sizes",
     "batch_vertex_cover_sizes",
     "batch_biconnected_counts",
-    "FlowCapacityOverflow",
     "max_flow_min_cut",
     "bisection_cut_csr",
     "resilience_csr_batch",

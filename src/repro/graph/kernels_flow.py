@@ -7,25 +7,28 @@ resilience_of`.  This module re-implements the same *canonical*
 algorithm over CSR arrays:
 
 * :func:`max_flow_min_cut` — BFS-augmenting-path (Edmonds–Karp) max
-  flow over int64 arrays, with the residual-reachable source side of
-  the min cut.  Capacities that could overflow int64 raise
-  :class:`FlowCapacityOverflow` at construction and the public wrapper
-  falls back to an exact big-integer pure-Python path (mirroring
-  :class:`repro.graph.kernels.PathCountOverflow`).  The flow value and
-  the residual-reachable set are unique — identical for *every* max
-  flow — so the kernel agrees with the twin's Dinic solver exactly.
+  flow over Python lists, with the residual-reachable source side of
+  the min cut.  Capacities are Python ints, so the solver is exact at
+  any capacity.  The flow value and the residual-reachable set are
+  unique — identical for *every* max flow — so the kernel agrees with
+  the twin's Dinic solver exactly.
 * :func:`bisection_cut_csr` / :func:`resilience_csr_batch` — bitwise
   mirrors of :func:`repro.graph.partition.bisection_cut_size` and, per
   ball of a fused batch, :func:`repro.metrics.resilience.resilience_of`:
   same exact-regime Gray-code enumeration (vectorized over all masks at
-  once), same deterministic handshake coarsening, canonical BFS growth,
-  boundary FM and flow refinement, making literally the same ``rng``
-  draws.  The bulk array work (gain initialization, cut sizes,
-  coarsening, membership) is vectorized; the FM move loop itself stays
-  a scalar heap loop because its pop sequence *is* the algorithm —
-  heap entries are totally ordered ``(-gain, node, version)`` tuples,
-  so the sequence is a pure function of the entry multiset and both
-  implementations walk the same moves.
+  once), same heavy-edge matching, canonical BFS growth, boundary FM
+  and flow refinement, making literally the same ``rng`` draws.  The
+  twin matches by handshake rounds; the kernel matches greedily in
+  descending edge-key order, which under a strict total edge order
+  yields the same matching (Preis 1999; see :func:`_coarsen_csr`).
+  Bulk array work (gain initialization, cut sizes, coarse CSR
+  assembly, membership) is vectorized.  The loops whose frontier is a
+  node or two wide — augmenting paths, BFS growth, the matching pass —
+  run over plain lists, where numpy dispatch would cost more than the
+  work.  The FM move loop stays a scalar heap loop because its pop
+  sequence *is* the algorithm — heap entries are totally ordered
+  ``(-gain, node, version)`` tuples, so the sequence is a pure function
+  of the entry multiset and both implementations walk the same moves.
 
 Disconnected balls delegate to the dict twin, which evaluates the
 largest component — engine balls are always connected, so the
@@ -45,7 +48,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.kernels import (
     UNREACHED,
     FusedBatch,
-    _gather_rows,
     fused_bfs_levels,
 )
 from repro.graph.partition import (
@@ -57,10 +59,6 @@ from repro.graph.partition import (
     balance_bound,
 )
 
-#: Capacities (individually and in total) must stay below this for the
-#: int64 array solver; anything larger falls back to big integers.
-_INT64_SAFE = 1 << 62
-
 #: Arc list type for :func:`max_flow_min_cut`: directed ``(u, v, cap)``.
 Arc = Tuple[int, int, int]
 
@@ -68,160 +66,13 @@ Arc = Tuple[int, int, int]
 # node_weights), all int64; arcs appear in both directions.
 _Level = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-
-class FlowCapacityOverflow(OverflowError):
-    """Flow capacities exceeded the int64-safe range.
-
-    Raised by the array solver instead of silently wrapping; the public
-    :func:`max_flow_min_cut` catches it and falls back to the exact
-    big-integer implementation.
-    """
+# The same level as plain Python lists, for the scalar loops.
+_Lists = Tuple[List[int], List[int], List[int], List[int]]
 
 
 # ----------------------------------------------------------------------
 # Max flow / min cut
 # ----------------------------------------------------------------------
-
-def _check_capacities(arcs: Sequence[Arc]) -> None:
-    """Raise :class:`FlowCapacityOverflow` unless int64 math is safe."""
-    total = 0
-    for _u, _v, cap in arcs:
-        if cap < 0 or cap >= _INT64_SAFE:
-            raise FlowCapacityOverflow(f"arc capacity {cap} outside int64-safe range")
-        total += cap
-    if total >= _INT64_SAFE:
-        raise FlowCapacityOverflow(f"total capacity {total} outside int64-safe range")
-
-
-def _residual_bfs(
-    adj_indptr: np.ndarray,
-    adj_arcs: np.ndarray,
-    head: np.ndarray,
-    cap: np.ndarray,
-    source: int,
-    num_nodes: int,
-) -> np.ndarray:
-    """Predecessor arcs of a BFS over positive-residual arcs.
-
-    Returns an int64 vector: ``-1`` unreached, ``-2`` for the source,
-    else the arc id that discovered the node.
-    """
-    pred = np.full(num_nodes, -1, dtype=np.int64)
-    pred[source] = -2
-    frontier = np.array([source], dtype=np.int64)
-    scratch = np.zeros(num_nodes, dtype=bool)
-    while frontier.size:
-        arcs_out, _counts = _gather_rows(adj_indptr, adj_arcs, frontier)
-        if not arcs_out.size:
-            break
-        arcs_out = arcs_out[cap[arcs_out] > 0]
-        targets = head[arcs_out]
-        fresh = pred[targets] == -1
-        targets = targets[fresh]
-        if not targets.size:
-            break
-        # Duplicate targets keep the last writer's arc — any discovering
-        # arc is valid; the reachable set and flow value are unaffected.
-        pred[targets] = arcs_out[fresh]
-        scratch[targets] = True
-        frontier = np.flatnonzero(scratch)
-        scratch[frontier] = False
-    return pred
-
-
-def _max_flow_array(
-    num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
-) -> Tuple[int, List[bool]]:
-    """Edmonds–Karp over int64 arrays; raises on capacity overflow."""
-    _check_capacities(arcs)
-    num_arcs = len(arcs)
-    head = np.empty(2 * num_arcs, dtype=np.int64)
-    tail = np.empty(2 * num_arcs, dtype=np.int64)
-    cap = np.zeros(2 * num_arcs, dtype=np.int64)
-    for i, (u, v, c) in enumerate(arcs):
-        tail[2 * i] = u
-        head[2 * i] = v
-        cap[2 * i] = c
-        tail[2 * i + 1] = v
-        head[2 * i + 1] = u
-    adj_arcs = np.argsort(tail, kind="stable")
-    adj_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=num_nodes), out=adj_indptr[1:])
-
-    flow = 0
-    while True:
-        pred = _residual_bfs(adj_indptr, adj_arcs, head, cap, source, num_nodes)
-        if pred[sink] == -1:
-            break
-        path: List[int] = []
-        bottleneck: Optional[int] = None
-        v = sink
-        while v != source:
-            a = int(pred[v])
-            path.append(a)
-            residual = int(cap[a])
-            if bottleneck is None or residual < bottleneck:
-                bottleneck = residual
-            v = int(head[a ^ 1])  # the paired reverse arc points at the tail
-        assert bottleneck is not None and bottleneck > 0
-        for a in path:
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-        flow += bottleneck
-    pred = _residual_bfs(adj_indptr, adj_arcs, head, cap, source, num_nodes)
-    return flow, [bool(p != -1) for p in pred.tolist()]
-
-
-def _max_flow_bigint(
-    num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
-) -> Tuple[int, List[bool]]:
-    """Exact pure-Python Edmonds–Karp (arbitrary-precision capacities)."""
-    head: List[int] = []
-    cap: List[int] = []
-    adj: List[List[int]] = [[] for _ in range(num_nodes)]
-    for u, v, c in arcs:
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
-
-    def residual_bfs() -> List[int]:
-        pred = [-1] * num_nodes
-        pred[source] = -2
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            for a in adj[u]:
-                v = head[a]
-                if cap[a] > 0 and pred[v] == -1:
-                    pred[v] = a
-                    frontier.append(v)
-        return pred
-
-    flow = 0
-    while True:
-        pred = residual_bfs()
-        if pred[sink] == -1:
-            break
-        path: List[int] = []
-        bottleneck: Optional[int] = None
-        v = sink
-        while v != source:
-            a = pred[v]
-            path.append(a)
-            if bottleneck is None or cap[a] < bottleneck:
-                bottleneck = cap[a]
-            v = head[a ^ 1]
-        assert bottleneck is not None and bottleneck > 0
-        for a in path:
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-        flow += bottleneck
-    pred = residual_bfs()
-    return flow, [p != -1 for p in pred]
-
 
 def max_flow_min_cut(
     num_nodes: int, arcs: Sequence[Arc], source: int, sink: int
@@ -236,14 +87,62 @@ def max_flow_min_cut(
     of the inclusion-minimal min cut, which is unique and therefore
     independent of the augmenting order and of the solver used.
 
-    Capacities outside the int64-safe range make the array solver
-    raise :class:`FlowCapacityOverflow`; this wrapper then falls back
-    to the exact big-integer path, so callers always get exact values.
+    Edmonds–Karp over Python lists: capacities are Python ints, so the
+    result is exact at any capacity.  A negative capacity raises
+    :class:`ValueError`.
     """
-    try:
-        return _max_flow_array(num_nodes, arcs, source, sink)
-    except FlowCapacityOverflow:
-        return _max_flow_bigint(num_nodes, arcs, source, sink)
+    head: List[int] = []
+    cap: List[int] = []
+    adj: List[List[int]] = [[] for _ in range(num_nodes)]
+    for u, v, c in arcs:
+        if c < 0:
+            raise ValueError(f"arc ({u}, {v}) has negative capacity {c}")
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    def residual_bfs(stop_at_sink: bool) -> List[int]:
+        # pred: -1 unreached, -2 the source, else the discovering arc.
+        # Stopping once the sink is labelled leaves its pred chain as a
+        # full sweep would: BFS labels each node once, on discovery.
+        pred = [-1] * num_nodes
+        pred[source] = -2
+        frontier = deque([source])
+        while frontier:
+            u = frontier.popleft()
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] > 0 and pred[v] == -1:
+                    pred[v] = a
+                    if stop_at_sink and v == sink:
+                        return pred
+                    frontier.append(v)
+        return pred
+
+    flow = 0
+    while True:
+        pred = residual_bfs(stop_at_sink=True)
+        if pred[sink] == -1:
+            break
+        path: List[int] = []
+        bottleneck: Optional[int] = None
+        v = sink
+        while v != source:
+            a = pred[v]
+            path.append(a)
+            if bottleneck is None or cap[a] < bottleneck:
+                bottleneck = cap[a]
+            v = head[a ^ 1]  # the paired reverse arc points at the tail
+        assert bottleneck is not None and bottleneck > 0
+        for a in path:
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+        flow += bottleneck
+    pred = residual_bfs(stop_at_sink=False)
+    return flow, [p != -1 for p in pred]
 
 
 # ----------------------------------------------------------------------
@@ -298,41 +197,37 @@ def _exact_bipartition_csr(level: _Level, balance_slack: float) -> Tuple[int, np
 
 
 def _coarsen_csr(level: _Level, max_merge_weight: int) -> Tuple[_Level, np.ndarray]:
-    """Deterministic handshake coarsening (twin: ``_coarsen``).
+    """Heavy-edge coarsening in greedy order (twin: ``_coarsen``).
 
-    Proposal selection maximizes the edge key ``(w, -min(u, v),
-    -max(u, v))``, encoded into a single int64 (the components are
-    bounded by ``n``, so the packing is exactly lexicographic); mutual
-    proposals match, and the coarse ids are the ascending ranks of each
-    group's representative ``min(u, match[u])`` — the twin's first-seen
-    ascending numbering.
+    One pass over the under-cap edges by descending edge key ``(w,
+    -min(u, v), -max(u, v))`` — packed into one int64, exactly
+    lexicographic since the components are bounded by ``n`` — matching
+    each edge whose endpoints are both free.  Keys are unique per
+    undirected edge, and under a strict total edge order the twin's
+    handshake (locally dominant) matching *is* this greedy matching
+    (Preis 1999): an edge left out by the handshake has a heavier
+    matched neighbour edge, or its first endpoint to be matched would
+    have proposed it instead.  The coarse ids are the ascending ranks
+    of each group's representative ``min(u, match[u])`` — the twin's
+    first-seen ascending numbering.
     """
     indptr, indices, weights, node_weights = level
     n = len(indptr) - 1
     src = _arc_sources(indptr)
     dst = indices
     span = np.int64(n + 1)
-    mn = np.minimum(src, dst)
-    mx = np.maximum(src, dst)
-    edge_key = (weights * span + (span - 1 - mn)) * span + (span - 1 - mx)
-    under_cap = node_weights[src] + node_weights[dst] <= max_merge_weight
+    once = (src < dst) & (node_weights[src] + node_weights[dst] <= max_merge_weight)
+    lo = src[once]
+    hi = dst[once]
+    edge_key = (weights[once] * span + (span - 1 - lo)) * span + (span - 1 - hi)
+    by_key = np.argsort(edge_key)[::-1]
 
-    match = np.full(n, -1, dtype=np.int64)
-    while True:
-        live = under_cap & (match[src] == -1) & (match[dst] == -1)
-        best = np.zeros(n, dtype=np.int64)
-        np.maximum.at(best, src[live], edge_key[live])
-        proposal = np.full(n, -1, dtype=np.int64)
-        hit = live & (best[src] > 0) & (edge_key == best[src])
-        proposal[src[hit]] = dst[hit]
-        cand = np.flatnonzero(proposal >= 0)
-        cand = cand[proposal[cand] > cand]
-        if cand.size:
-            cand = cand[proposal[proposal[cand]] == cand]
-        if not cand.size:
-            break
-        match[cand] = proposal[cand]
-        match[proposal[cand]] = cand
+    partner = [-1] * n
+    for u, v in zip(lo[by_key].tolist(), hi[by_key].tolist()):
+        if partner[u] == -1 and partner[v] == -1:
+            partner[u] = v
+            partner[v] = u
+    match = np.asarray(partner, dtype=np.int64)
     unmatched = np.flatnonzero(match == -1)
     match[unmatched] = unmatched
 
@@ -360,53 +255,48 @@ def _coarsen_csr(level: _Level, max_merge_weight: int) -> Tuple[_Level, np.ndarr
     return coarse, mapping
 
 
-def _grow_from_csr(level: _Level, start: int) -> np.ndarray:
+def _grow_from_csr(lists: _Lists, start: int) -> np.ndarray:
     """Canonical BFS-grow (twin: ``_grow_from``).
 
     Visit order is BFS levels each sorted ascending, then unreached
     nodes ascending; side 0 admits nodes in that order while it holds
     less than half the total weight.
     """
-    indptr, indices, _weights, node_weights = level
-    n = len(indptr) - 1
-    dist = np.full(n, UNREACHED, dtype=np.int64)
-    dist[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        neighbors, _counts = _gather_rows(indptr, indices, frontier)
-        if not neighbors.size:
-            break
-        fresh = neighbors[dist[neighbors] == UNREACHED]
-        if not fresh.size:
-            break
-        depth += 1
-        dist[fresh] = depth
-        frontier = np.flatnonzero(dist == depth)
-    rank = np.where(dist == UNREACHED, np.int64(n), dist)
-    order = np.lexsort((np.arange(n, dtype=np.int64), rank))
+    indptr_l, dst_l, _w_l, node_w = lists
+    n = len(node_w)
+    rank = [n] * n  # BFS distance; n for unreached nodes
+    rank[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        depth = rank[u] + 1
+        for v in dst_l[indptr_l[u]:indptr_l[u + 1]]:
+            if rank[v] == n:
+                rank[v] = depth
+                queue.append(v)
+    order = np.lexsort(
+        (np.arange(n, dtype=np.int64), np.asarray(rank, dtype=np.int64))
+    )
 
-    total = int(node_weights.sum())
-    target = total // 2
-    max_w = int(node_weights.max())
-    side = np.ones(n, dtype=np.int64)
+    target = sum(node_w) // 2
+    max_w = max(node_w)
     if max_w == 1:
+        side = np.ones(n, dtype=np.int64)
         side[order[:target]] = 0  # unit weights: every candidate is admitted
         return side
     grown = 0
-    weights_list = node_weights.tolist()
-    side_list = side.tolist()
+    side_list = [1] * n
     for v in order.tolist():
         if grown >= target:
             break
-        if grown + weights_list[v] <= target + max_w:
+        if grown + node_w[v] <= target + max_w:
             side_list[v] = 0
-            grown += weights_list[v]
+            grown += node_w[v]
     return np.asarray(side_list, dtype=np.int64)
 
 
-def _flat_lists(level: _Level) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """A level's arrays as plain Python lists for the scalar FM loop."""
+def _flat_lists(level: _Level) -> _Lists:
+    """A level's arrays as plain Python lists for the scalar loops."""
     indptr, indices, weights, node_weights = level
     return (
         indptr.tolist(),
@@ -418,7 +308,7 @@ def _flat_lists(level: _Level) -> Tuple[List[int], List[int], List[int], List[in
 
 def _fm_refine_csr(
     level: _Level,
-    lists: Tuple[List[int], List[int], List[int], List[int]],
+    lists: _Lists,
     side: np.ndarray,
     balance_slack: float,
     max_passes: int = 8,
@@ -562,28 +452,27 @@ def _flow_refine_csr(
     return new_side
 
 
-_Lists = Tuple[List[int], List[int], List[int], List[int]]
 _Chain = Tuple[List[Tuple[_Level, _Lists, np.ndarray]], _Level, _Lists]
 
 
-def _build_level_chain(fine: _Level) -> _Chain:
+def _build_level_chain(fine: _Level, fine_lists: _Lists) -> _Chain:
     """The coarsening chain of one V-cycle (twin: ``_multilevel``'s loop).
 
     Coarsening is seed-independent, so the chain (and each level's flat
-    Python lists for the FM loop) is computed once per graph and shared
-    across heuristic trials — the twin recomputes it per trial with
-    identical results.
+    Python lists) is computed once per graph and shared across
+    heuristic trials — the twin recomputes it per trial with identical
+    results.
     """
     levels: List[Tuple[_Level, _Lists, np.ndarray]] = []
-    current = fine
+    current, current_lists = fine, fine_lists
     max_merge_weight = max(2, int(fine[3].sum()) // 32)
     while len(current[0]) - 1 > _COARSEST:
         coarse, mapping = _coarsen_csr(current, max_merge_weight)
         if len(coarse[0]) - 1 >= 0.95 * (len(current[0]) - 1):
             break  # matching is no longer making real progress
-        levels.append((current, _flat_lists(current), mapping))
-        current = coarse
-    return levels, current, _flat_lists(current)
+        levels.append((current, current_lists, mapping))
+        current, current_lists = coarse, _flat_lists(coarse)
+    return levels, current, current_lists
 
 
 def _multilevel_csr(
@@ -597,7 +486,7 @@ def _multilevel_csr(
     seed = start
     for _level, _lists, mapping in levels:
         seed = int(mapping[seed])
-    side = _grow_from_csr(coarsest, seed)
+    side = _grow_from_csr(coarsest_lists, seed)
     side = _fm_refine_csr(coarsest, coarsest_lists, side, balance_slack)
     for level, lists, mapping in reversed(levels):
         side = side[mapping]
@@ -635,12 +524,13 @@ def bisection_cut_csr(
     if n <= _EXACT_MAX:
         cut, _side = _exact_bipartition_csr(fine, balance_slack)
         return cut
-    chain = _build_level_chain(fine)
+    fine_lists = _flat_lists(fine)
+    chain = _build_level_chain(fine, fine_lists)
     best_cut: Optional[int] = None
     best_side: Optional[np.ndarray] = None
     for _ in range(max(1, trials)):
         start = rng.randrange(n)
-        grown = _grow_from_csr(fine, start)
+        grown = _grow_from_csr(fine_lists, start)
         grown_cut = _cut_csr(fine, grown)
         cut, side = _multilevel_csr(fine, chain, start, balance_slack)
         if grown_cut < cut:

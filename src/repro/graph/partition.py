@@ -258,8 +258,10 @@ def _coarsen(
     -max(u, v))`` subject to the merged-weight cap; mutual proposals
     match.  The globally best eligible edge is always mutual, so every
     round makes progress and the result is a maximal matching — with no
-    randomness, unlike classic randomized heavy-edge matching, so the
-    CSR kernel can replay it exactly.
+    randomness, unlike classic randomized heavy-edge matching.  Edge
+    keys are unique, so this locally dominant matching equals the
+    greedy one in descending key order (Preis 1999), which is how the
+    CSR kernel builds it in a single pass.
 
     Returns the coarse adjacency, coarse node weights, and the
     fine-index -> coarse-index mapping.

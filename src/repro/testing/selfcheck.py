@@ -38,9 +38,10 @@ implementations still trustworthy?":
     the builder's incremental union-find agrees with ``is_connected``.
 ``kernels``
     The fused CSR metric kernels vs. the dict oracles, all bitwise:
-    batched Edmonds–Karp max-flow/min-cut vs. Dinic with the min cut
-    certifying the flow, the big-int overflow fallback,
-    ``bisection_cut_csr`` vs. the multilevel partitioner, every
+    Edmonds–Karp max-flow/min-cut vs. Dinic with the min cut
+    certifying the flow, exact at any capacity, one coarsening step of
+    the CSR bisection vs. the dict partitioner's on a random weighted
+    level, ``bisection_cut_csr`` vs. the multilevel partitioner, every
     segmented kernel over a :class:`~repro.graph.kernels.FusedBatch`
     sliced back per ball vs. the dict oracle on the thawed ball, the
     ``distortion_csr_batch``/``resilience_csr_batch`` entry points vs.
@@ -810,10 +811,11 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     the pure-Python metric cores, they are the same canonical algorithms
     re-expressed over arrays, so any drift is a bug.  Sub-streams:
 
-    * *flow* — array Edmonds–Karp vs. Dinic (the residual side must
-      certify the flow), the big-int overflow fallback, and
-      ``bisection_cut_csr`` vs. the dict partitioner under a shared RNG
-      stream;
+    * *flow* — Edmonds–Karp vs. Dinic (the residual side must certify
+      the flow), exactness under capacities scaled past int64, one
+      greedy-order coarsening step vs. the dict twin's handshake
+      matching on a random weighted level, and ``bisection_cut_csr``
+      vs. the dict partitioner under a shared RNG stream;
     * *segmented kernels* — every kernel over a
       :class:`~repro.graph.kernels.FusedBatch`, sliced back per ball, vs.
       the dict oracle on ``sub_csr(i).thaw()``; the whole (possibly
@@ -840,7 +842,7 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     def fail(msg: str) -> None:
         report.failures.append(CheckFailure(report.family, report.checks, msg))
 
-    # --- flow: array Edmonds–Karp vs. Dinic, cut certified ------------
+    # --- flow: Edmonds–Karp vs. Dinic, cut certified ------------------
     report.checks += 1
     n = rng.randint(3, 7)
     arcs = []
@@ -863,11 +865,10 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
             f"flow is {flow} — the cut does not certify the flow"
         )
 
-    # --- flow: int64 overflow falls back to the big-int twin ----------
+    # --- flow: exact at any capacity ----------------------------------
     # Scaling every capacity by 2**61 scales the max flow linearly and
     # preserves the (unique, inclusion-minimal) source-side min cut,
-    # while pushing the totals past the int64-safe bound so
-    # ``max_flow_min_cut`` must take the arbitrary-precision path.
+    # while pushing the totals past the int64 range.
     report.checks += 1
     scale = 1 << 61
     big_flow, big_reach = flow_mod.max_flow_min_cut(
@@ -875,11 +876,45 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     )
     if big_flow != flow * scale:
         fail(
-            f"big-int fallback flow {big_flow} != scaled array flow "
-            f"{flow * scale}"
+            f"capacity-scaled flow {big_flow} != scaled flow "
+            f"{flow * scale}: not exact at large capacities"
         )
     if big_reach != reachable:
-        fail("big-int fallback returned a different min-cut side")
+        fail("capacity-scaled flow returned a different min-cut side")
+
+    # --- flow: one coarsening level vs. the dict twin -----------------
+    # Greedy matching in descending edge-key order must equal the twin's
+    # handshake matching; weighted nodes make the merge cap bind.
+    report.checks += 1
+    gl = random_graph(rng, 2, 24)  # possibly disconnected
+    adj_lists, _order = gl.adjacency_lists()
+    wadj = [dict() for _ in adj_lists]
+    for u, nbrs in enumerate(adj_lists):
+        for v in nbrs:
+            if u < v:
+                wadj[u][v] = wadj[v][u] = rng.randint(1, 4)
+    node_w = [rng.randint(1, 4) for _ in adj_lists]
+    cap = rng.randint(2, 8)
+
+    def as_level(wadj, node_w):
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in wadj])
+        indices = [v for nbrs in wadj for v in sorted(nbrs)]
+        weights = [nbrs[v] for nbrs in wadj for v in sorted(nbrs)]
+        return tuple(
+            np.asarray(x, dtype=np.int64)
+            for x in (indptr, indices, weights, node_w)
+        )
+
+    coarse, mapping = flow_mod._coarsen_csr(as_level(wadj, node_w), cap)
+    want_adj, want_w, want_mapping = partition_mod._coarsen(wadj, node_w, cap)
+    want = as_level(want_adj, want_w)
+    if mapping.tolist() != want_mapping or any(
+        got.tolist() != exp.tolist() for got, exp in zip(coarse, want)
+    ):
+        fail(
+            f"_coarsen_csr mapping or coarse level != dict _coarsen "
+            f"(merge cap {cap})"
+        )
 
     # --- flow: balanced bisection vs. the dict partitioner ------------
     report.checks += 1

@@ -214,23 +214,45 @@ def test_selfcheck_catches_kernel_cut_off_by_one(monkeypatch):
 
 
 def test_selfcheck_catches_kernel_bigint_fallback_off_by_one(monkeypatch):
-    """Flow sub-stream: corrupting only the big-integer fallback is
-    caught by the capacity-scaling check, proving that leg really runs."""
+    """Flow sub-stream: a max-flow solver that drifts by one only past
+    the int64 range is caught by the capacity-scaling check, proving
+    that leg really exercises big-integer capacities."""
     from repro.graph import kernels_flow
 
-    real = kernels_flow._max_flow_bigint
+    real = kernels_flow.max_flow_min_cut
 
     def off_by_one(num_nodes, arcs, source, sink):
         flow, reachable = real(num_nodes, arcs, source, sink)
-        return flow + 1, reachable
+        if flow >= 1 << 62:
+            flow += 1
+        return flow, reachable
 
-    monkeypatch.setattr(kernels_flow, "_max_flow_bigint", off_by_one)
+    monkeypatch.setattr(kernels_flow, "max_flow_min_cut", off_by_one)
     report = run_selfcheck(
         rounds=5, seed=0, families=["kernels"], out=lambda _: None
     )
     assert not report.ok
     messages = " ".join(f.message for f in report.families[0].failures)
-    assert "big-int" in messages
+    assert "large capacities" in messages
+
+
+def test_selfcheck_catches_kernel_coarsen_off_by_one(monkeypatch):
+    """Flow sub-stream: a planted +1 on the coarsening merge cap is
+    caught by the per-level twin check against the dict ``_coarsen``."""
+    from repro.graph import kernels_flow
+
+    real = kernels_flow._coarsen_csr
+
+    def off_by_one(level, max_merge_weight):
+        return real(level, max_merge_weight + 1)
+
+    monkeypatch.setattr(kernels_flow, "_coarsen_csr", off_by_one)
+    report = run_selfcheck(
+        rounds=5, seed=0, families=["kernels"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "_coarsen_csr" in messages
 
 
 def test_selfcheck_catches_kernel_tree_distance_off_by_one(monkeypatch):
