@@ -5,9 +5,11 @@ pytest-benchmark's normal multi-round timing so performance regressions
 in the substrate show up: BFS, the multilevel bipartition, the policy
 product-graph BFS, pair-fraction accumulation, biconnectivity, and the
 exact bipartite cover.  ``test_perf_synthetic_as_paper_size`` is a
-one-shot wall-time guard on generating the paper-size AS graph, and
+one-shot wall-time guard on generating the paper-size AS graph,
 ``test_perf_resilience_high_diameter`` one on the resilience bisection
-over the ball schedules of path- and grid-shaped graphs.
+over the ball schedules of path- and grid-shaped graphs, and
+``test_perf_policy_levels`` one on the CSR valley-free BFS kernel from
+the router-level graph's ball centers.
 """
 
 import random
@@ -15,17 +17,24 @@ import time
 
 import pytest
 
-from conftest import entry
+from conftest import BALL_CENTERS, entry
 
 from repro.generators import linear_chain, mesh
 from repro.graph.components import count_biconnected_components
-from repro.graph.kernels import BallBatch, FusedBatch, ball_members, bfs_levels
+from repro.graph.kernels import (
+    BallBatch,
+    FusedBatch,
+    ball_members,
+    bfs_levels,
+    policy_levels,
+)
 from repro.graph.kernels_flow import resilience_csr_batch
 from repro.graph.flow import bipartite_vertex_cover_weight
 from repro.graph.partition import bisection_cut_size
 from repro.graph.traversal import bfs_distances
 from repro.hierarchy import link_value_from_entries, link_traversal_sets
 from repro.internet import ASGraphParams, synthetic_as_graph
+from repro.metrics.balls import sample_centers
 from repro.routing.policy import policy_dag
 from repro.routing.shortest import pair_edge_fractions, shortest_path_dag
 
@@ -133,3 +142,24 @@ def test_perf_resilience_high_diameter(shape, bound):
     assert len(values) == len(radii) and min(values) >= 1.0
     elapsed = min(times)
     assert elapsed < bound, f"{shape} resilience batch took {elapsed:.2f} s"
+
+
+@pytest.mark.perf
+def test_perf_policy_levels():
+    # The RL(Policy) signature row grows its policy balls from these
+    # centers of the 18,708-node router-level graph.  Best of three on a
+    # 2-core x86 VM: about 0.05 s for the six kernel BFS runs; the dict
+    # product-graph BFS (policy_dag) takes about 0.37 s for the same
+    # six sources.
+    top = entry("RL")
+    csr = top.graph.freeze()
+    codes = top.relationships.arc_codes(csr)
+    sources = [csr.index_of(c) for c in sample_centers(csr, BALL_CENTERS, seed=1)]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        reached = [policy_levels(csr, codes, s)[0] for s in sources]
+        times.append(time.perf_counter() - start)
+    assert all(int((dist >= 0).sum()) > 1 for dist in reached)
+    elapsed = min(times)
+    assert elapsed < 0.25, f"policy_levels from {len(sources)} RL centers took {elapsed:.2f} s"

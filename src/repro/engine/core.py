@@ -66,8 +66,9 @@ from repro.graph import kernels
 from repro.graph.core import Graph
 from repro.graph.csr import CSRGraph, csr_from_graph
 from repro.graph.traversal import bfs_distances
-# _policy_ball_from_dag is the canonical Appendix E ball constructor; the
-# engine reuses it so policy balls stay identical to the legacy path.
+# The dict policy DAG and _policy_ball_from_dag are the Appendix E
+# oracle behind ``use_csr=False``; the CSR path builds the same balls
+# from kernels.policy_levels' arc radii.
 from repro.metrics.balls import _policy_ball_from_dag, sample_centers
 from repro.routing.policy import policy_dag
 from repro.runtime import faults as _faults
@@ -125,6 +126,9 @@ class _Plan:
     rels: Any
     distance_rids: List[int]
     groups: List[_BallGroup]
+    # ``rels.arc_codes(csr)``, encoded once in the parent for the CSR
+    # path's policy plans (None otherwise).
+    codes: Optional[np.ndarray] = None
 
 
 class _ComputeContext:
@@ -202,29 +206,50 @@ def _ctx_from_handle(
 
 
 def _center_distances(ctx: _ComputeContext, plan: _Plan, ci: int):
-    """Distance vector (and policy DAG, if any) for one center.
+    """Distance vector (and policy ball data, if any) for one center.
 
-    Returns ``(dist, dag)``: ``dist`` is a dense int32 array over node
-    indices (``-1`` = unreached); ``dag`` is the policy DAG for policy
-    plans, else ``None``.  The CSR kernel and the dict oracle fill the
-    same array shape, so everything downstream is representation-blind.
+    Returns ``(dist, policy)``: ``dist`` is a dense int32 array over
+    node indices (``-1`` = unreached).  ``policy`` is ``None`` for plain
+    plans; for policy plans it is the per-arc radius array of
+    :func:`~repro.graph.kernels.policy_levels` on the CSR path and the
+    dict :class:`~repro.routing.policy.PolicyDAG` on the oracle path.
+    Both paths fill the same ``dist``, so the radius schedule and the
+    distance metrics are representation-blind.
     """
     center = plan.centers[ci]
     csr = ctx.csr
+    if ctx.use_csr:
+        if plan.codes is not None:
+            return kernels.policy_levels(csr, plan.codes, csr.index_of(center))
+        return kernels.bfs_levels(csr, csr.index_of(center)), None
+    dist = np.full(csr.number_of_nodes(), -1, dtype=np.int32)
     if plan.rels is not None:
         dag = policy_dag(ctx.graph, plan.rels, center)
-        dist = np.full(csr.number_of_nodes(), -1, dtype=np.int32)
         for (node, _state), d in dag.state_dist.items():
             i = csr.index_of(node)
             if dist[i] < 0 or d < dist[i]:
                 dist[i] = d
         return dist, dag
-    if ctx.use_csr:
-        return kernels.bfs_levels(csr, csr.index_of(center)), None
-    dist = np.full(csr.number_of_nodes(), -1, dtype=np.int32)
     for node, d in bfs_distances(ctx.graph, center).items():
         dist[csr.index_of(node)] = d
     return dist, None
+
+
+def _ball_batch(
+    csr: CSRGraph,
+    dist: np.ndarray,
+    arc_radius: Optional[np.ndarray],
+    schedule: List[Tuple[int, int]],
+) -> kernels.BallBatch:
+    """Every ball of a ``(radius, size)`` schedule in one batch; policy
+    balls (``arc_radius`` given) keep only their policy-path arcs."""
+    radii = [radius for radius, _size in schedule]
+    return kernels.BallBatch(
+        csr,
+        [kernels.ball_members(dist, radius) for radius in radii],
+        arc_radius=arc_radius,
+        radii=radii if arc_radius is not None else None,
+    )
 
 
 def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
@@ -235,7 +260,7 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
     requested) and ``group_contributions[g]`` is a list of
     ``(radius, ball_size, {rid: value})`` tuples for ball group ``g``.
     """
-    dist, dag = _center_distances(ctx, plan, ci)
+    dist, policy = _center_distances(ctx, plan, ci)
     per_level = kernels.level_counts(dist)
     max_radius = len(per_level) - 1
 
@@ -278,24 +303,20 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
             # index order).  Each member draws from its *own* rng
             # stream, so consuming it across all balls up front is the
             # same draw sequence a per-ball loop makes.  Policy balls
-            # (dag) and the dict oracle path keep the per-radius
-            # subgraph construction; the dict ball is built lazily, only
-            # for members without a batch evaluator.
+            # are sliced with their arc filter, so they ride the same
+            # batch.  A dict ball is built lazily, per radius, only for
+            # members without a batch evaluator and on the oracle path.
+            batch = None
+            fused = None
             fused_values: Dict[int, List[float]] = {}
-            if ctx.use_csr and dag is None and schedule:
-                fused = None
+            if ctx.use_csr and schedule:
                 for member in group.members:
                     spec = METRICS[member.name]
                     if spec.batch_evaluator is None:
                         continue
                     if fused is None:
-                        balls = [
-                            kernels.ball_members(dist, radius)
-                            for radius, _size in schedule
-                        ]
-                        fused = kernels.FusedBatch(
-                            kernels.BallBatch(ctx.csr, balls)
-                        )
+                        batch = _ball_batch(ctx.csr, dist, policy, schedule)
+                        fused = kernels.FusedBatch(batch)
                     fused_values[member.rid] = spec.batch_evaluator(
                         fused, rngs[member.rid], member.eval_params
                     )
@@ -309,9 +330,7 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                         values[member.rid] = fused_values[member.rid][bi]
                         continue
                     if ball is None:
-                        if dag is not None:
-                            ball = _policy_ball_from_dag(dag, radius)
-                        else:
+                        if policy is None:
                             # Canonical members: ascending node index.
                             # The induced subgraph (and so every
                             # evaluator float) is a pure function of
@@ -319,6 +338,16 @@ def _compute_center(ctx: _ComputeContext, plan: _Plan, ci: int):
                             members = kernels.ball_members(dist, radius)
                             ball = ctx.graph.subgraph(
                                 [nodes[i] for i in members]
+                            )
+                        elif ctx.use_csr:
+                            if batch is None:
+                                batch = _ball_batch(
+                                    ctx.csr, dist, policy, schedule
+                                )
+                            ball = batch.sub_csr(bi).thaw()
+                        else:
+                            ball = _policy_ball_from_dag(
+                                policy, radius, ctx.csr.index_of
                             )
                     values[member.rid] = spec.evaluator(
                         ball, rngs[member.rid], member.eval_params
@@ -527,7 +556,7 @@ class MetricEngine:
 
         pending = [res for res in resolved if res.series is None]
         if pending:
-            plans = self._build_plans(pending)
+            plans = self._build_plans(pending, ctx)
             per_plan_results, per_plan_statuses = self._execute(
                 ctx, plans, pending
             )
@@ -585,9 +614,14 @@ class MetricEngine:
             center_seeds=center_seeds,
         )
 
-    def _build_plans(self, pending: List[_Resolved]) -> List[_Plan]:
+    def _build_plans(
+        self, pending: List[_Resolved], ctx: _ComputeContext
+    ) -> List[_Plan]:
         plans: List[_Plan] = []
         plans_by_key: Dict[Tuple, _Plan] = {}
+        # One encoding per annotation, shared by its plans (expansion
+        # and the ball metrics usually sample different centers).
+        codes_by_rels: Dict[int, np.ndarray] = {}
         for rid, res in enumerate(pending):
             rels = res.params["rels"]
             key = (
@@ -596,11 +630,17 @@ class MetricEngine:
             )
             plan = plans_by_key.get(key)
             if plan is None:
+                codes = None
+                if rels is not None and ctx.use_csr:
+                    codes = codes_by_rels.get(id(rels))
+                    if codes is None:
+                        codes = codes_by_rels[id(rels)] = rels.arc_codes(ctx.csr)
                 plan = _Plan(
                     centers=res.centers,
                     rels=rels,
                     distance_rids=[],
                     groups=[],
+                    codes=codes,
                 )
                 plans_by_key[key] = plan
                 plans.append(plan)

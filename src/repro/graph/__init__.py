@@ -23,6 +23,7 @@ from repro.graph.kernels import (
     fused_level_counts,
     induced_subgraph,
     multi_source_distances,
+    policy_levels,
 )
 from repro.graph.kernels_flow import (
     bisection_cut_csr,
@@ -79,6 +80,7 @@ __all__ = [
     "CSR_LAYOUT_VERSION",
     "bfs_levels",
     "multi_source_distances",
+    "policy_levels",
     "bfs_with_path_counts",
     "ball_members",
     "degree_vector",

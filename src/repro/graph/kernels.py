@@ -9,10 +9,15 @@ per-node hash-table BFS into frontier-at-a-time array operations:
   unreached nodes);
 * :func:`bfs_with_path_counts` — BFS with equal-cost shortest-path
   counting (the sigma of Section 5's traversal-set weights);
+* :func:`policy_levels` — valley-free BFS over the (node, state)
+  product graph from per-arc relationship codes, returning policy
+  distances and the radius at which each arc joins the Appendix E
+  policy ball;
 * :func:`ball_members` — the index array of a ball, ascending;
 * :func:`degree_vector` — all degrees as one array;
 * :func:`induced_subgraph` — CSR-to-CSR subgraph slicing;
-* :class:`BallBatch` — many balls sliced per numpy call;
+* :class:`BallBatch` — many balls sliced per numpy call, optionally
+  keeping only each policy ball's arcs;
 * :class:`FusedBatch` — a whole batch concatenated into one disjoint-
   union CSR with ``indptr``-style ball-offset segmentation, so one
   kernel sweep serves every ball (:func:`fused_bfs_levels`,
@@ -24,10 +29,10 @@ per-node hash-table BFS into frontier-at-a-time array operations:
 
 Every kernel is bitwise-equivalent to the dict-of-sets implementation it
 replaces (asserted by ``repro selfcheck --family csr``/``kernels`` and
-the property tests in ``tests/test_graph_csr.py`` and
-``tests/test_fused_batch.py``): distances, memberships and counts are
-identical; only internal ordering conventions are canonicalised to
-ascending node index.
+the property tests in ``tests/test_graph_csr.py``,
+``tests/test_fused_batch.py`` and ``tests/test_policy_properties.py``):
+distances, memberships and counts are identical; only internal ordering
+conventions are canonicalised to ascending node index.
 """
 
 from __future__ import annotations
@@ -51,24 +56,58 @@ class PathCountOverflow(OverflowError):
     """
 
 
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
-    """Concatenated neighbor indices of every frontier node.
+def _row_positions(indptr: np.ndarray, frontier: np.ndarray):
+    """Arc positions of every frontier node's CSR row, concatenated.
 
     ``indptr`` must already be int64 (hoisted out of the BFS loop by the
-    callers).  Returns ``(neighbors, counts)`` where ``neighbors`` is
-    the concatenation of each frontier node's CSR row and ``counts[k]``
-    is the row length of ``frontier[k]``.
+    callers).  Returns ``(positions, counts)`` where ``positions``
+    indexes ``indices`` (and any array aligned with it) and
+    ``counts[k]`` is the row length of ``frontier[k]``.
     """
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int32), counts
-    # Each element's position in ``indices``: a running arange, shifted
-    # per row from the concatenation offset to the row start.
+        return np.empty(0, dtype=np.int64), counts
+    # A running arange, shifted per row from the concatenation offset
+    # to the row start.
     ends = np.cumsum(counts)
     positions = np.arange(total, dtype=np.int64)
     positions += np.repeat(starts - ends + counts, counts)
+    return positions, counts
+
+
+def arc_positions(csr: CSRGraph, tails, heads) -> np.ndarray:
+    """Positions in ``csr.indices`` of the arcs ``tails[k] -> heads[k]``.
+
+    ``tails`` and ``heads`` are node indices; the result is int64 with
+    ``-1`` wherever the pair is not an arc.  Rows are sorted, so
+    ``tail * n + head`` ascends over all arcs and one binary search
+    locates every pair.
+    """
+    n = csr.number_of_nodes()
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    if not csr.indices.size:
+        return np.full(tails.size, -1, dtype=np.int64)
+    arc_key = np.repeat(
+        np.arange(n, dtype=np.int64) * n, np.diff(csr.indptr.astype(np.int64))
+    )
+    arc_key += csr.indices
+    wanted = tails * n + heads
+    pos = np.minimum(np.searchsorted(arc_key, wanted), arc_key.size - 1)
+    return np.where(arc_key[pos] == wanted, pos, -1)
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
+    """Concatenated neighbor indices of every frontier node.
+
+    Returns ``(neighbors, counts)`` as :func:`_row_positions` does, with
+    the positions resolved through ``indices``.
+    """
+    positions, counts = _row_positions(indptr, frontier)
+    if not positions.size:
+        return np.empty(0, dtype=np.int32), counts
     return indices[positions], counts
 
 
@@ -239,6 +278,125 @@ def bfs_with_path_counts(csr: CSRGraph, source: int):
     return dist, sigma
 
 
+# ----------------------------------------------------------------------
+# Valley-free policy BFS over the (node, state) product graph
+# ----------------------------------------------------------------------
+
+#: Arc codes of a valley-free annotation, aligned with ``csr.indices``
+#: (:meth:`repro.routing.policy.Relationships.arc_codes`): what the
+#: arc's head is to its tail.
+ARC_SIBLING = 0
+ARC_PROVIDER = 1
+ARC_CUSTOMER = 2
+ARC_PEER = 3
+ARC_UNANNOTATED = 4
+
+#: The valley-free automaton: ``_POLICY_NEXT[state, code]`` is the state
+#: after crossing an arc of that code, ``-1`` where the arc is not
+#: allowed.  State 0 (ascent) may climb, peer once or descend; state 1
+#: (descent) only descends.  Unannotated arcs raise before this table
+#: is read.
+_POLICY_NEXT = np.array(
+    [
+        [0, 0, 1, 1, -1],
+        [1, -1, 1, -1, -1],
+    ],
+    dtype=np.int8,
+)
+
+#: ``arc_radius`` of an arc that lies on no shortest policy path.
+NO_RADIUS = int(np.iinfo(np.int32).max)
+
+
+def policy_levels(csr: CSRGraph, codes: np.ndarray, source: int):
+    """Valley-free distances and per-arc ball radii from ``source``.
+
+    Level-synchronous BFS over the ``2n`` product states ``2 * node +
+    state`` (state 0 climbs, state 1 descends; the source starts in
+    ascent), keeping each level's shortest-path DAG arcs.  A reverse
+    sweep over the levels then gives every state its ``key``: the
+    smallest distance of an *optimal* state (one achieving its node's
+    policy distance) reachable forward from it.
+
+    Returns ``(dist, arc_radius)``: ``dist`` as in :func:`bfs_levels`
+    with policy distances, and ``arc_radius[a]`` the smallest ``key`` of
+    a DAG arc's head over the DAG arcs on arc ``a``'s undirected edge,
+    in either direction (:data:`NO_RADIUS` when there is none).  The
+    Appendix E policy ball of radius ``R`` is then the nodes with
+    ``dist <= R`` plus the arcs with ``arc_radius <= R`` — exactly the
+    links :func:`repro.routing.policy.policy_path_edges` collects.
+
+    An unannotated arc (:data:`ARC_UNANNOTATED`) leaving a reached node
+    raises ``KeyError``, as the dict BFS does on reaching it.
+    """
+    n = csr.number_of_nodes()
+    if not 0 <= source < n:
+        raise IndexError(f"source index {source} out of range for {n} nodes")
+    codes = np.asarray(codes)
+    if codes.shape != csr.indices.shape:
+        raise ValueError(
+            f"codes has shape {codes.shape}, expected {csr.indices.shape}"
+        )
+    indptr = csr.indptr.astype(np.int64)
+    indices = csr.indices
+    sdist = np.full(2 * n, UNREACHED, dtype=np.int32)
+    sdist[2 * source] = 0
+    frontier = np.array([2 * source], dtype=np.int64)
+    levels = []  # per level: (arc positions, tail states, head states)
+    depth = 0
+    while frontier.size:
+        positions, counts = _row_positions(indptr, frontier >> 1)
+        if not positions.size:
+            break
+        arc_codes = codes[positions]
+        bad = arc_codes == ARC_UNANNOTATED
+        if bad.any():
+            k = int(np.argmax(bad))
+            tail = int(np.repeat(frontier >> 1, counts)[k])
+            head = int(indices[positions[k]])
+            raise KeyError(
+                f"edge ({csr.node_at(tail)!r}, {csr.node_at(head)!r}) "
+                "has no relationship annotation"
+            )
+        tails = np.repeat(frontier, counts)
+        nxt = _POLICY_NEXT[tails & 1, arc_codes]
+        allowed = nxt >= 0
+        positions = positions[allowed]
+        tails = tails[allowed]
+        heads = 2 * indices[positions].astype(np.int64) + nxt[allowed]
+        fresh = heads[sdist[heads] == UNREACHED]
+        if not fresh.size:
+            break
+        depth += 1
+        sdist[fresh] = depth
+        on_dag = sdist[heads] == depth
+        levels.append((positions[on_dag], tails[on_dag], heads[on_dag]))
+        frontier = np.flatnonzero(sdist == depth)
+
+    pair = np.where(sdist >= 0, sdist, NO_RADIUS).reshape(n, 2)
+    best = pair.min(axis=1)
+    dist = np.where(best == NO_RADIUS, UNREACHED, best).astype(np.int32)
+    key = np.full(2 * n, NO_RADIUS, dtype=np.int32)
+    optimal = (pair == best[:, None]).ravel() & (sdist >= 0)
+    key[optimal] = sdist[optimal]
+    for _positions, tails, heads in reversed(levels):
+        np.minimum.at(key, tails, key[heads])
+
+    arc_radius = np.full(indices.size, NO_RADIUS, dtype=np.int32)
+    if levels:
+        positions = np.concatenate([level[0] for level in levels])
+        tails = np.concatenate([level[1] for level in levels]) >> 1
+        heads = np.concatenate([level[2] for level in levels])
+        values = key[heads]
+        reverse = arc_positions(csr, heads >> 1, tails)
+        np.minimum.at(
+            arc_radius,
+            np.concatenate([positions, reverse]),
+            np.concatenate([values, values]),
+        )
+    return dist, arc_radius
+
+
 def ball_members(dist: np.ndarray, radius: int) -> np.ndarray:
     """Indices of the ball of ``radius`` hops, ascending.
 
@@ -309,6 +467,12 @@ class BallBatch:
     (same ``indptr``/``indices`` arrays, same node list) to
     ``induced_subgraph(csr, members_list[i])``, for any grouping of
     balls into batches.
+
+    Policy balls (Appendix E) keep only the links on shortest policy
+    paths: given ``arc_radius`` (aligned with ``csr.indices``, from
+    :func:`policy_levels`) and one radius per ball in ``radii``, ball
+    ``i`` drops every induced arc whose ``arc_radius`` exceeds
+    ``radii[i]``.
     """
 
     __slots__ = ("csr", "_members", "_indptrs", "_indices")
@@ -317,6 +481,8 @@ class BallBatch:
         self,
         csr: CSRGraph,
         members_list: Sequence[np.ndarray],
+        arc_radius: Optional[np.ndarray] = None,
+        radii: Optional[Sequence[int]] = None,
         chunk_elements: int = 1 << 23,
     ):
         self.csr = csr
@@ -324,17 +490,34 @@ class BallBatch:
         for m in self._members:
             if m.size and np.any(m[1:] <= m[:-1]):
                 raise ValueError("members must be strictly ascending")
+        if (arc_radius is None) != (radii is None):
+            raise ValueError("arc_radius and radii go together")
+        if radii is not None:
+            radii = np.asarray(radii, dtype=np.int64)
+            if radii.shape != (len(self._members),):
+                raise ValueError("radii needs one radius per ball")
         n = csr.number_of_nodes()
         indptr64 = csr.indptr.astype(np.int64)
         self._indptrs: List[np.ndarray] = []
         self._indices: List[np.ndarray] = []
         balls_per_chunk = max(1, chunk_elements // max(1, n))
         for lo in range(0, len(self._members), balls_per_chunk):
-            chunk = self._members[lo : lo + balls_per_chunk]
-            self._slice_chunk(chunk, n, indptr64)
+            hi = lo + balls_per_chunk
+            self._slice_chunk(
+                self._members[lo:hi],
+                n,
+                indptr64,
+                arc_radius,
+                None if radii is None else radii[lo:hi],
+            )
 
     def _slice_chunk(
-        self, chunk: List[np.ndarray], n: int, indptr64: np.ndarray
+        self,
+        chunk: List[np.ndarray],
+        n: int,
+        indptr64: np.ndarray,
+        arc_radius: Optional[np.ndarray],
+        radii: Optional[np.ndarray],
     ) -> None:
         sizes = np.array([m.size for m in chunk], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -344,16 +527,16 @@ class BallBatch:
                 self._indices.append(np.empty(0, dtype=np.int32))
             return
         mcat = np.concatenate(chunk)
-        neighbors, counts = _gather_rows(indptr64, self.csr.indices, mcat)
+        positions, counts = _row_positions(indptr64, mcat)
+        neighbors = self.csr.indices[positions]
         member_ball = np.repeat(np.arange(len(chunk)), sizes)
         elem_ball = np.repeat(member_ball, counts)
         keep = np.zeros((len(chunk), n), dtype=bool)
         keep[member_ball, mcat] = True
         rank = np.cumsum(keep, axis=1, dtype=np.int32) - 1
-        if neighbors.size:
-            kept_mask = keep[elem_ball, neighbors]
-        else:
-            kept_mask = np.empty(0, dtype=bool)
+        kept_mask = keep[elem_ball, neighbors]
+        if radii is not None:
+            kept_mask &= arc_radius[positions] <= radii[elem_ball]
         row_ids = np.repeat(np.arange(mcat.size), counts)
         kept_rows = row_ids[kept_mask]
         new_counts = np.bincount(kept_rows, minlength=mcat.size)

@@ -73,22 +73,43 @@ def policy_ball_subgraph(
     "a ball of radius h ... comprises nodes whose [policy] distance is
     less than or equal to h and links that lie on their policy paths to
     the center node."
+
+    Members follow ``graph``'s node order and each adjacency set is
+    filled in that order, so the ball does not depend on the order the
+    policy BFS happened to discover nodes in.
     """
     dag = policy_dag(graph, rels, center)
-    return _policy_ball_from_dag(dag, radius)
+    rank = {node: i for i, node in enumerate(graph.nodes())}
+    return _policy_ball_from_dag(dag, radius, rank.__getitem__)
 
 
-def _policy_ball_from_dag(dag: PolicyDAG, radius: int) -> Graph:
+def _policy_ball_from_dag(
+    dag: PolicyDAG, radius: int, index_of: Callable[[Node], int]
+) -> Graph:
+    """The policy ball of ``radius`` in canonical form.
+
+    ``index_of`` gives each node's canonical index.  Members are
+    inserted in ascending index and edges in ascending ``(index,
+    index)`` order, which fills every adjacency set in ascending index
+    order: the ball is built exactly as ``CSRGraph.thaw`` builds the
+    CSR path's arc-filtered ball, so order-sensitive evaluators agree
+    bitwise across the two paths.
+    """
     distances: Dict[Node, int] = {}
     for (node, _state), d in dag.state_dist.items():
         if node not in distances or d < distances[node]:
             distances[node] = d
-    members = [node for node, d in distances.items() if d <= radius]
+    members = sorted(
+        (node for node, d in distances.items() if d <= radius), key=index_of
+    )
+    edges = [
+        (u, v) if index_of(u) < index_of(v) else (v, u)
+        for u, v in policy_path_edges(dag, members)
+    ]
+    edges.sort(key=lambda edge: (index_of(edge[0]), index_of(edge[1])))
     ball = Graph()
-    for node in members:
-        ball.add_node(node)
-    for u, v in policy_path_edges(dag, members):
-        ball.add_edge(u, v)
+    ball.add_nodes_from(members)
+    ball.add_edges_from(edges)
     return ball
 
 
@@ -133,9 +154,9 @@ def ball_growing_series(
     This is the dict-of-sets reference implementation the engine's CSR
     path is held bitwise-equal to.  Both operate on the *canonical
     thawed* form of the graph (``freeze().thaw()``) with ball members in
-    ascending node-index order, so the induced subgraphs — and every
-    order-sensitive evaluator float — agree exactly across
-    representations and implementations.
+    ascending node-index order — plain and policy balls alike — so the
+    ball subgraphs, and every order-sensitive evaluator float, agree
+    exactly across representations and implementations.
     """
     rng = make_rng(seed)
     if centers is None:
@@ -173,7 +194,7 @@ def ball_growing_series(
             if max_ball_size is not None and size > max_ball_size:
                 break
             if dag is not None:
-                ball = _policy_ball_from_dag(dag, radius)
+                ball = _policy_ball_from_dag(dag, radius, csr.index_of)
             else:
                 ball = canonical.subgraph(members)
             value = metric(ball)

@@ -21,7 +21,12 @@ with a two-state automaton layered over the graph:
 Shortest policy paths are BFS over the (node, state) product graph.  The
 same DAG/path-counting machinery as plain shortest paths then yields the
 policy-constrained link traversal fractions used by the Section 5
-hierarchy analysis, and the policy-induced balls of Appendix E.
+hierarchy analysis, and the policy-induced balls of Appendix E.  The
+metric engine grows policy balls with the array twin
+:func:`repro.graph.kernels.policy_levels` over
+:meth:`Relationships.arc_codes`; the dict :func:`policy_dag` here is its
+oracle and the only implementation behind link values (exact big-int
+path counts) and relationship inference.
 
 For the router-level graph the paper computes AS-level policy paths and
 then router-level shortest paths within the AS sequence.  We realise the
@@ -37,7 +42,11 @@ import dataclasses
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.graph import kernels
 from repro.graph.core import Graph
+from repro.graph.csr import CSRGraph
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -51,6 +60,14 @@ SIBLING = "sibling"    # same organisation: free, state-preserving
 
 _ASCENT = 0
 _DESCENT = 1
+
+#: Relationship -> arc code of :func:`repro.graph.kernels.policy_levels`.
+_ARC_CODE = {
+    SIBLING: kernels.ARC_SIBLING,
+    PROVIDER: kernels.ARC_PROVIDER,
+    CUSTOMER: kernels.ARC_CUSTOMER,
+    PEER: kernels.ARC_PEER,
+}
 
 
 class Relationships:
@@ -90,6 +107,32 @@ class Relationships:
                 return SIBLING
             raise KeyError(f"edge ({u!r}, {v!r}) has no relationship annotation")
         return result
+
+    def arc_codes(self, csr: CSRGraph) -> np.ndarray:
+        """``rel(u, v)`` of every arc of ``csr`` as an int8 code array.
+
+        The result is aligned with ``csr.indices`` and holds the
+        ``ARC_*`` codes of :mod:`repro.graph.kernels`, the input of
+        :func:`~repro.graph.kernels.policy_levels`.  Unannotated arcs
+        get ``ARC_SIBLING`` with ``default_sibling`` set and
+        ``ARC_UNANNOTATED`` otherwise (the kernel raises ``KeyError``
+        only if its BFS reaches one); annotations on node pairs that are
+        not edges of ``csr`` are ignored.
+        """
+        default = (
+            kernels.ARC_SIBLING if self._default_sibling else kernels.ARC_UNANNOTATED
+        )
+        codes = np.full(csr.indices.size, default, dtype=np.int8)
+        tails, heads, values = [], [], []
+        for (u, v), rel in self._rel.items():
+            if u in csr and v in csr:
+                tails.append(csr.index_of(u))
+                heads.append(csr.index_of(v))
+                values.append(_ARC_CODE[rel])
+        positions = kernels.arc_positions(csr, tails, heads)
+        is_arc = positions >= 0
+        codes[positions[is_arc]] = np.asarray(values, dtype=np.int8)[is_arc]
+        return codes
 
     def annotated_edges(self) -> List[Edge]:
         """Each annotated undirected edge once (canonical direction)."""

@@ -29,7 +29,8 @@ implementations still trustworthy?":
     The frozen :class:`~repro.graph.csr.CSRGraph` representation vs.
     the dict-of-sets oracle: freeze/thaw round-trips, vectorized BFS
     distances, ball memberships, degree vectors, shortest-path counts
-    and the ``use_csr=True``/``False`` engines, all identical.
+    and the ``use_csr=True``/``False`` engines on plain balls and on
+    policy balls of a random valley-free annotation, all identical.
 ``streaming``
     The streaming :class:`~repro.generators.builder.GraphBuilder` vs.
     the dict build path: every registered generator emits the identical
@@ -194,6 +195,29 @@ def random_graph(rng: random.Random, min_nodes: int = 2, max_nodes: int = 12) ->
         offset = g.number_of_nodes()
         g.add_edges_from((u + offset, v + offset) for u, v in other.iter_edges())
     return g
+
+
+def random_relationships(rng: random.Random, graph: Graph):
+    """A random valley-free annotation of every edge of ``graph``.
+
+    Half the time the annotation defaults to sibling and leaves about a
+    fifth of the edges unannotated (the router-level convention).
+    """
+    from repro.routing.policy import Relationships
+
+    default_sibling = rng.random() < 0.5
+    rels = Relationships(default_sibling=default_sibling)
+    for u, v in graph.iter_edges():
+        kind = rng.random()
+        if default_sibling and kind < 0.2:
+            continue
+        if kind < 0.6:
+            rels.set_provider_customer(provider=max(u, v), customer=min(u, v))
+        elif kind < 0.8:
+            rels.set_peer(u, v)
+        else:
+            rels.set_sibling(u, v)
+    return rels
 
 
 # ----------------------------------------------------------------------
@@ -704,6 +728,19 @@ def _check_csr(rng: random.Random, report: FamilyReport) -> None:
         b = dict_engine.compute_one(connected, name, **params)
         if a != b:
             fail(f"engine(use_csr=True) != engine(use_csr=False) for {name}")
+
+    # --- engine on policy balls: arc-radius kernel vs dict DAG ---------
+    report.checks += 1
+    annotated = random_connected_graph(rng)
+    rels = random_relationships(rng, annotated)
+    params = dict(num_centers=4, seed=rng.getrandbits(16), rels=rels)
+    for name in ("expansion", "resilience", "distortion", "clustering"):
+        a = csr_engine.compute_one(annotated, name, **params)
+        b = dict_engine.compute_one(annotated, name, **params)
+        if repr(a) != repr(b):
+            fail(
+                f"policy {name}: engine(use_csr=True) != engine(use_csr=False)"
+            )
 
 
 #: (registry name, build params) rotation for the streaming family:

@@ -194,6 +194,21 @@ def test_selfcheck_catches_csr_ball_off_by_one(monkeypatch):
     assert not report.ok
 
 
+def test_selfcheck_catches_policy_valley(monkeypatch):
+    """A planted transition letting the descent state climb to a
+    provider admits valleys: the CSR policy kernel then drifts from the
+    dict policy DAG."""
+    from repro.graph import kernels
+
+    planted = kernels._POLICY_NEXT.copy()
+    planted[1, kernels.ARC_PROVIDER] = 1
+    monkeypatch.setattr(kernels, "_POLICY_NEXT", planted)
+    report = run_selfcheck(rounds=5, seed=0, families=["csr"], out=lambda _: None)
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "policy" in messages
+
+
 def test_selfcheck_catches_kernel_cut_off_by_one(monkeypatch):
     """Flow sub-stream: a planted +1 in the CSR cut counter desyncs
     ``bisection_cut_csr`` from the dict partitioner."""
