@@ -6,8 +6,10 @@ in the substrate show up: BFS, the multilevel bipartition, the policy
 product-graph BFS, pair-fraction accumulation, biconnectivity, and the
 exact bipartite cover.  ``test_perf_synthetic_as_paper_size`` is a
 one-shot wall-time guard on generating the paper-size AS graph,
-``test_perf_resilience_high_diameter`` one on the resilience bisection
-over the ball schedules of path- and grid-shaped graphs, and
+``test_perf_resilience_high_diameter`` and
+``test_perf_distortion_high_diameter`` ones on the resilience bisection
+and the distortion trees over the ball schedules of path- and
+grid-shaped graphs, and
 ``test_perf_policy_levels`` one on the CSR valley-free BFS kernel from
 the router-level graph's ball centers.
 """
@@ -29,6 +31,7 @@ from repro.graph.kernels import (
     policy_levels,
 )
 from repro.graph.kernels_flow import resilience_csr_batch
+from repro.graph.kernels_trees import distortion_csr_batch
 from repro.graph.flow import bipartite_vertex_cover_weight
 from repro.graph.partition import bisection_cut_size
 from repro.graph.traversal import bfs_distances
@@ -113,7 +116,8 @@ def test_perf_synthetic_as_paper_size():
     assert elapsed < 5.0, f"paper-size AS growth took {elapsed:.1f} s"
 
 
-#: Ball schedules for the resilience guard: (graph, center, radius step).
+#: Ball schedules for the high-diameter guards: (graph, center, radius
+#: step).
 HIGH_DIAMETER_BALLS = {
     # Every 10th radius around the middle of a 900-node path: 45 balls
     # of 3 to 883 nodes.
@@ -142,6 +146,29 @@ def test_perf_resilience_high_diameter(shape, bound):
     assert len(values) == len(radii) and min(values) >= 1.0
     elapsed = min(times)
     assert elapsed < bound, f"{shape} resilience batch took {elapsed:.2f} s"
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("shape, bound", [("linear_chain", 1.0), ("mesh", 0.5)])
+def test_perf_distortion_high_diameter(shape, bound):
+    # Best of three on a 2-core x86 VM: about 0.29 s (linear_chain) and
+    # 0.08 s (mesh); with a stable argsort and reduceat per closeness
+    # BFS level, about 0.32 s and 0.12 s.  The path's schedule runs
+    # thousands of BFS levels a few nodes wide, so any per-level cost
+    # proportional to the batch shows up here first.
+    make, center, step = HIGH_DIAMETER_BALLS[shape]
+    csr = make().freeze()
+    dist = bfs_levels(csr, center)
+    radii = range(1, int(dist.max()) + 1, step)
+    fused = FusedBatch(BallBatch(csr, [ball_members(dist, r) for r in radii]))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        values = distortion_csr_batch(fused, rng=random.Random(1))
+        times.append(time.perf_counter() - start)
+    assert len(values) == len(radii) and min(values) >= 1.0
+    elapsed = min(times)
+    assert elapsed < bound, f"{shape} distortion batch took {elapsed:.2f} s"
 
 
 @pytest.mark.perf

@@ -14,9 +14,11 @@ needs invalidation beyond deleting files.  JSON float serialisation uses
 ``repr`` round-tripping, so cached series are bitwise-identical to
 freshly computed ones.
 
-Entries involving objects without a stable content representation — a
-``random.Random`` seed or a policy :class:`Relationships` annotation —
-are simply not cached (``cache_key`` returns ``None``).
+A policy :class:`Relationships` annotation is keyed by a hash of its
+encoding on the graph (:meth:`Relationships.arc_codes`), the form the
+engine computes on.  A live ``random.Random`` seed has no stable content
+representation, so such entries are simply not cached (``cache_key``
+returns ``None``).
 
 Layout (many concurrent writers, see ``docs/SERVICE.md``):
 
@@ -65,7 +67,7 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from repro.graph.core import Graph
-from repro.graph.csr import CSR_LAYOUT_VERSION
+from repro.graph.csr import CSR_LAYOUT_VERSION, CSRGraph
 
 # Bump when the engine's numeric behaviour changes, so old entries miss.
 # v2: entries carry a content checksum (self-healing cache).
@@ -130,26 +132,35 @@ def graph_fingerprint(graph: Graph) -> str:
 
 
 def cache_key(
-    fingerprint: str, metric: str, params: Mapping[str, Any]
+    fingerprint: str,
+    metric: str,
+    params: Mapping[str, Any],
+    csr: Optional[CSRGraph] = None,
 ) -> Optional[str]:
     """Stable key for one (graph, metric, params) computation.
 
-    Returns ``None`` when the computation is not cacheable: a live
-    ``random.Random`` seed or a policy relationship annotation has no
-    stable content representation.
+    A policy annotation (``params["rels"]``) enters the key as the
+    sha256 of ``rels.arc_codes(csr)``: the annotation as the engine
+    encodes it, which already folds in ``default_sibling`` and ignores
+    annotations on non-edges, so two annotations share a key exactly
+    when the engine computes on the same codes.  Returns ``None`` when
+    the computation is not cacheable: a live ``random.Random`` seed, or
+    an annotation without the ``csr`` to encode it on.
     """
     if isinstance(params.get("seed"), random.Random):
         return None
-    if params.get("rels") is not None:
-        return None
-    payload = repr(
-        sorted((k, repr(v)) for k, v in params.items() if k != "rels")
-    )
+    items = sorted((k, repr(v)) for k, v in params.items() if k != "rels")
+    rels = params.get("rels")
+    if rels is not None:
+        if csr is None:
+            return None
+        codes = rels.arc_codes(csr)
+        items.append(("rels", hashlib.sha256(codes.tobytes()).hexdigest()))
     digest = hashlib.sha256()
     digest.update(
         f"{REPRESENTATION_VERSION}|{metric}|{fingerprint}|".encode("utf-8")
     )
-    digest.update(payload.encode("utf-8"))
+    digest.update(repr(items).encode("utf-8"))
     return f"{metric}-{digest.hexdigest()[:40]}"
 
 

@@ -537,7 +537,9 @@ class MetricEngine:
         if self.use_cache:
             fingerprint = graph_fingerprint(graph)
             for res in resolved:
-                res.key = cache_key(fingerprint, res.request.name, res.params)
+                res.key = cache_key(
+                    fingerprint, res.request.name, res.params, ctx.csr
+                )
                 if res.key is None:
                     continue
                 hit = self.cache.get(res.key)
@@ -807,8 +809,8 @@ class MetricEngine:
         fingerprint: str, plan: _Plan, pending: List[_Resolved]
     ) -> Optional[str]:
         """Content hash identifying one plan across runs, or ``None``
-        when the plan is not journalable (policy relationships have no
-        stable content representation, exactly as in the series cache).
+        when the plan is not journalable (policy-relationship plans are
+        recomputed on resume).
         """
         if plan.rels is not None:
             return None

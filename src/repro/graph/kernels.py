@@ -609,6 +609,7 @@ class FusedBatch:
         "indptr",
         "indices",
         "ball_of_node",
+        "_arc_src",
     )
 
     def __init__(self, batch: BallBatch):
@@ -639,6 +640,7 @@ class FusedBatch:
         self.ball_of_node = np.repeat(
             np.arange(len(batch), dtype=np.int64), node_counts
         )
+        self._arc_src: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -658,19 +660,16 @@ class FusedBatch:
         """Ball ``i`` as a standalone CSR (delegates to the batch)."""
         return self.batch.sub_csr(i)
 
-    def local_csr(self, i: int) -> CSRGraph:
-        """Ball ``i``'s arrays wrapped with ``range`` labels.
-
-        O(1) labels instead of materialising the original node objects;
-        only safe for label-agnostic kernels (the bisection solver, the
-        cover/biconnectivity counters).
-        """
-        return CSRGraph(
-            self.batch._indptrs[i],
-            self.batch._indices[i],
-            range(self.ball_size(i)),
-            name=self.batch.csr.name,
-        )
+    def arc_sources(self) -> np.ndarray:
+        """Each fused arc's source node (int64, aligned with
+        ``indices``), derived on first use and shared by every kernel
+        that runs over this batch."""
+        if self._arc_src is None:
+            n = int(self.node_offsets[-1])
+            self._arc_src = np.repeat(
+                np.arange(n, dtype=np.int64), np.diff(self.indptr)
+            )
+        return self._arc_src
 
 
 def fused_bfs_levels(fused: FusedBatch, sources: np.ndarray) -> np.ndarray:

@@ -17,22 +17,35 @@ algorithm over CSR arrays:
   ball of a fused batch, :func:`repro.metrics.resilience.resilience_of`:
   same exact-regime Gray-code enumeration (vectorized over all masks at
   once), same heavy-edge matching, canonical BFS growth, boundary FM
-  and flow refinement, making literally the same ``rng`` draws.  The
-  twin matches by handshake rounds; the kernel matches greedily in
-  descending edge-key order, which under a strict total edge order
-  yields the same matching (Preis 1999; see :func:`_coarsen_csr`).
-  Bulk array work (gain initialization, cut sizes, coarse CSR
-  assembly, membership) is vectorized.  The loops whose frontier is a
-  node or two wide — augmenting paths, BFS growth, the matching pass —
-  run over plain lists, where numpy dispatch would cost more than the
-  work.  The FM move loop stays a scalar heap loop because its pop
-  sequence *is* the algorithm — heap entries are totally ordered
-  ``(-gain, node, version)`` tuples, so the sequence is a pure function
-  of the entry multiset and both implementations walk the same moves.
+  and flow refinement, making literally the same ``rng`` draws.  A
+  single graph is a one-ball batch.  The twin matches by handshake
+  rounds; the kernel matches greedily in descending edge-key order,
+  which under a strict total edge order yields the same matching
+  (Preis 1999; see :func:`_coarsen_csr`).
 
-Disconnected balls delegate to the dict twin, which evaluates the
-largest component — engine balls are always connected, so the
-delegation only fires for exotic direct callers.
+Nothing is derived twice.  The draws depend only on ball sizes, so
+they are replayed for the whole batch up front; one fused BFS sweep
+per trial index then grows every ball's unit-weight start side, and
+one segmented ``bincount`` scores them all
+(:func:`_fused_grown_cuts`).  Only the coarsening chain, FM and flow
+refinement run per ball.  Each level carries its arc sources
+(:class:`_Level`), computed once as it enters the chain and read by
+every cut, FM and flow pass over it.  Bulk array work (gain
+initialization, cut sizes, coarse CSR assembly, membership) is
+vectorized.  The loops whose frontier is a node or two wide —
+augmenting paths, coarsest-level BFS growth, the matching pass — run
+over plain lists, where numpy dispatch would cost more than the work.
+The FM move loop stays a scalar heap loop because its pop sequence
+*is* the algorithm — heap entries are totally ordered ``(-gain, node,
+version)`` tuples, so the sequence is a pure function of the entry
+multiset and both implementations walk the same moves; it logs its
+moves and keeps the best prefix instead of snapshotting every
+improvement.
+
+In :func:`resilience_csr_batch`, disconnected balls delegate to the
+dict twin, which evaluates the largest component — engine balls are
+always connected, so the delegation only fires for exotic direct
+callers.
 """
 
 from __future__ import annotations
@@ -40,13 +53,14 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.kernels import (
     UNREACHED,
+    BallBatch,
     FusedBatch,
     fused_bfs_levels,
 )
@@ -62,11 +76,7 @@ from repro.graph.partition import (
 #: Arc list type for :func:`max_flow_min_cut`: directed ``(u, v, cap)``.
 Arc = Tuple[int, int, int]
 
-# A weighted graph level as flat arrays: (indptr, indices, weights,
-# node_weights), all int64; arcs appear in both directions.
-_Level = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-# The same level as plain Python lists, for the scalar loops.
+# A weighted graph level as plain Python lists, for the scalar loops.
 _Lists = Tuple[List[int], List[int], List[int], List[int]]
 
 
@@ -149,42 +159,55 @@ def max_flow_min_cut(
 # Balanced bipartition (twin: repro.graph.partition)
 # ----------------------------------------------------------------------
 
-def _arc_sources(indptr: np.ndarray) -> np.ndarray:
-    """Arc source indices: node ``u`` repeated ``degree(u)`` times."""
+class _Level(NamedTuple):
+    """A weighted graph level as flat int64 arrays; arcs appear in both
+    directions.  ``src`` is each arc's source node (node ``u`` repeated
+    ``degree(u)`` times), derived once when the level is built and read
+    by every cut, FM and flow pass over it."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    node_weights: np.ndarray
+    src: np.ndarray
+
+
+def _level(indptr, indices, weights, node_weights) -> _Level:
+    """A level from its CSR arrays, with the arc sources derived."""
     n = len(indptr) - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return _Level(indptr, indices, weights, node_weights, src)
 
 
 def _cut_csr(level: _Level, side: np.ndarray) -> int:
-    """Weighted cut size (twin: ``repro.graph.partition._cut_size``)."""
-    indptr, indices, weights, _node_weights = level
-    src = _arc_sources(indptr)
-    once = src < indices
-    crossing = once & (side[src] != side[indices])
-    return int(weights[crossing].sum())
+    """Weighted cut size (twin: ``repro.graph.partition._cut_size``).
+
+    Every undirected edge appears as two equal-weight arcs, so the
+    crossing arcs weigh twice the cut.
+    """
+    crossing = side[level.src] != side[level.indices]
+    return int(level.weights[crossing].sum()) // 2
 
 
-def _exact_bipartition_csr(level: _Level, balance_slack: float) -> Tuple[int, np.ndarray]:
+def _exact_bipartition_csr(level: _Level, balance_slack: float) -> int:
     """Vectorized Gray-mask enumeration (twin: ``_exact_bipartition``).
 
     Enumerates every side mask with node 0 anchored on side 0, scoring
-    all masks in one broadcast, and picks the minimum ``(cut, mask)``
-    key among feasible splits — the twin's canonical winner.
+    all masks at once edge by edge, and returns the cut of the minimum
+    ``(cut, mask)`` key among feasible splits — the twin's canonical
+    winner.
     """
-    indptr, indices, weights, _node_weights = level
+    indptr, indices, weights, _node_weights, src = level
     n = len(indptr) - 1
     bound = balance_bound(n, balance_slack)
     masks = np.arange(1, 1 << (n - 1), dtype=np.int64)
     smask = masks << 1  # bit i of smask == node i's side
-    src = _arc_sources(indptr)
     once = src < indices
-    u = src[once]
-    v = indices[once]
-    if u.size:
-        crossing = ((smask[None, :] >> u[:, None]) ^ (smask[None, :] >> v[:, None])) & 1
-        cuts = (weights[once][:, None] * crossing).sum(axis=0)
-    else:
-        cuts = np.zeros(masks.size, dtype=np.int64)
+    # One mask-wide pass per edge: an (edges x masks) broadcast would
+    # hold tens of MB of temporaries at the 14-node limit.
+    cuts = np.zeros(masks.size, dtype=np.int64)
+    for u, v, w in zip(src[once].tolist(), indices[once].tolist(), weights[once]):
+        cuts += w * (((smask >> u) ^ (smask >> v)) & 1)
     size_b = np.zeros(masks.size, dtype=np.int64)
     for k in range(n - 1):
         size_b += (masks >> k) & 1
@@ -193,7 +216,7 @@ def _exact_bipartition_csr(level: _Level, balance_slack: float) -> Tuple[int, np
     keys = keys[feasible]
     best_mask = int(masks[feasible][np.argmin(keys)])
     side = ((best_mask << 1) >> np.arange(n, dtype=np.int64)) & 1
-    return _cut_csr(level, side), side
+    return _cut_csr(level, side)
 
 
 def _coarsen_csr(level: _Level, max_merge_weight: int) -> Tuple[_Level, np.ndarray]:
@@ -211,9 +234,8 @@ def _coarsen_csr(level: _Level, max_merge_weight: int) -> Tuple[_Level, np.ndarr
     of each group's representative ``min(u, match[u])`` — the twin's
     first-seen ascending numbering.
     """
-    indptr, indices, weights, node_weights = level
+    indptr, indices, weights, node_weights, src = level
     n = len(indptr) - 1
-    src = _arc_sources(indptr)
     dst = indices
     span = np.int64(n + 1)
     once = (src < dst) & (node_weights[src] + node_weights[dst] <= max_merge_weight)
@@ -247,11 +269,12 @@ def _coarsen_csr(level: _Level, max_merge_weight: int) -> Tuple[_Level, np.ndarr
     coarse_w = np.bincount(
         inverse, weights=weights[keep], minlength=len(uniq_pair)
     ).astype(np.int64)
+    # ``uniq_pair`` ascends, so its sources are the coarse arc sources.
     coarse_src = uniq_pair // nc
     coarse_indices = uniq_pair % nc
     coarse_indptr = np.zeros(nc + 1, dtype=np.int64)
     np.cumsum(np.bincount(coarse_src, minlength=nc), out=coarse_indptr[1:])
-    coarse: _Level = (coarse_indptr, coarse_indices, coarse_w, coarse_node_w)
+    coarse = _Level(coarse_indptr, coarse_indices, coarse_w, coarse_node_w, coarse_src)
     return coarse, mapping
 
 
@@ -260,7 +283,9 @@ def _grow_from_csr(lists: _Lists, start: int) -> np.ndarray:
 
     Visit order is BFS levels each sorted ascending, then unreached
     nodes ascending; side 0 admits nodes in that order while it holds
-    less than half the total weight.
+    less than half the total weight.  Unit-weight fine levels take the
+    batched twin, :func:`_fused_grown_cuts`; this one serves the
+    weighted coarsest level.
     """
     indptr_l, dst_l, _w_l, node_w = lists
     n = len(node_w)
@@ -295,14 +320,43 @@ def _grow_from_csr(lists: _Lists, start: int) -> np.ndarray:
     return np.asarray(side_list, dtype=np.int64)
 
 
+def _fused_grown_cuts(
+    fused: FusedBatch, dist: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ball's unit-weight BFS-grown side and its cut, batched.
+
+    ``dist`` is a :func:`fused_bfs_levels` sweep from one start per
+    ball.  With unit weights :func:`_grow_from_csr` admits every
+    candidate, so ball ``b``'s side 0 is its first ``n_b // 2`` nodes
+    in (BFS level, index) order, unreached nodes last: one stable sort
+    of the whole union by (ball, level) yields every ball's order at
+    once, and one segmented ``bincount`` over the crossing arcs scores
+    every cut.  Returns the fused side vector and one cut per ball;
+    balls the sweep skipped read back garbage, which callers ignore.
+    """
+    n = int(fused.node_offsets[-1])
+    ball = fused.ball_of_node
+    rank = np.where(dist == UNREACHED, n, dist).astype(np.int64)
+    order = np.argsort(ball * (n + 1) + rank, kind="stable")
+    # Sorted by ball first, position k of ``order`` holds ball ball[k]'s
+    # node of rank k - node_offsets[ball[k]] in the growth order.
+    local = np.arange(n, dtype=np.int64) - fused.node_offsets[ball]
+    half = np.diff(fused.node_offsets) // 2
+    side = np.ones(n, dtype=np.int64)
+    side[order[local < half[ball]]] = 0
+    src = fused.arc_sources()
+    crossing = side[src] != side[fused.indices]
+    cuts = np.bincount(ball[src[crossing]], minlength=len(fused)) // 2
+    return side, cuts
+
+
 def _flat_lists(level: _Level) -> _Lists:
     """A level's arrays as plain Python lists for the scalar loops."""
-    indptr, indices, weights, node_weights = level
     return (
-        indptr.tolist(),
-        indices.tolist(),
-        weights.tolist(),
-        node_weights.tolist(),
+        level.indptr.tolist(),
+        level.indices.tolist(),
+        level.weights.tolist(),
+        level.node_weights.tolist(),
     )
 
 
@@ -317,43 +371,40 @@ def _fm_refine_csr(
 
     Per-pass gain/boundary/cut initialization is vectorized; the move
     loop is the twin's heap loop verbatim (its pop order is a pure
-    function of the entry multiset, so both walk identical moves).
+    function of the entry multiset, so both walk identical moves).  A
+    moved node is locked for the rest of the pass, so instead of the
+    twin's snapshot per improvement the pass logs its moves and keeps
+    the best prefix by flipping those nodes back from the pass start.
     """
-    indptr, indices, weights, node_weights = level
+    indptr, indices, weights, node_weights, src = level
     n = len(indptr) - 1
     indptr_l, dst_l, w_l, node_w = lists
     max_side_w = _side_weight_bound(node_w, balance_slack)
-    src = _arc_sources(indptr)
-    once = src < indices
-    once_u, once_v, once_w = src[once], indices[once], weights[once]
+    total_w = sum(node_w)
+    deg_w = np.bincount(src, weights=weights, minlength=n).astype(np.int64)
 
-    side = np.asarray(side, dtype=np.int64)
+    side = np.array(side, dtype=np.int64)  # a copy: flipped in place
     for _ in range(max_passes):
         crossing = side[src] != side[indices]
-        cut_w = np.bincount(src[crossing], weights=weights[crossing], minlength=n)
-        deg_w = np.bincount(src, weights=weights, minlength=n).astype(np.int64)
-        gain_arr = (2 * cut_w.astype(np.int64)) - deg_w
-        boundary = cut_w > 0
-        pass_start_cut = int(
-            once_w[side[once_u] != side[once_v]].sum()
-        )
-        side_w = [
-            int(node_weights[side == 0].sum()),
-            int(node_weights[side == 1].sum()),
-        ]
+        cut_w = np.bincount(
+            src[crossing], weights=weights[crossing], minlength=n
+        ).astype(np.int64)
+        gain = (2 * cut_w - deg_w).tolist()
+        pass_start_cut = int(cut_w.sum()) // 2
+        w1 = int(node_weights @ side)
+        side_w = [total_w - w1, w1]
 
-        gain = gain_arr.tolist()
         side_l = side.tolist()
         version = [0] * n
         heap: List[Tuple[int, int, int]] = [
-            (-gain[u], u, 0) for u in np.flatnonzero(boundary).tolist()
+            (-gain[u], u, 0) for u in np.flatnonzero(cut_w).tolist()
         ]
         heapq.heapify(heap)
         locked = [False] * n
 
-        cur_cut = pass_start_cut
-        best_cut = cur_cut
-        best_snapshot = list(side_l)
+        moves: List[int] = []
+        cur_cut = best_cut = pass_start_cut
+        best_moves = 0
         since_best = 0
 
         while heap and since_best < _FM_STALL:
@@ -364,6 +415,7 @@ def _fm_refine_csr(
             if side_w[target] + node_w[u] > max_side_w:
                 continue  # move would break balance; skip (stays locked out)
             locked[u] = True
+            moves.append(u)
             cur_cut -= gain[u]
             side_w[side_l[u]] -= node_w[u]
             side_w[target] += node_w[u]
@@ -378,12 +430,12 @@ def _fm_refine_csr(
                 heapq.heappush(heap, (-gain[v], v, version[v]))
             if cur_cut < best_cut:
                 best_cut = cur_cut
-                best_snapshot = list(side_l)
+                best_moves = len(moves)
                 since_best = 0
             else:
                 since_best += 1
 
-        side = np.asarray(best_snapshot, dtype=np.int64)
+        side[moves[:best_moves]] ^= 1
         if best_cut >= pass_start_cut:
             break  # pass found no improvement; a further pass won't either
     return side
@@ -399,9 +451,8 @@ def _flow_refine_csr(
     unique inclusion-minimal min cut, so both solvers re-assign the
     boundary identically.
     """
-    indptr, indices, weights, node_weights = level
+    indptr, indices, weights, node_weights, src = level
     n = len(indptr) - 1
-    src = _arc_sources(indptr)
     crossing = side[src] != side[indices]
     region = np.unique(src[crossing])
     if not region.size or region.size > _FLOW_REGION_MAX:
@@ -465,10 +516,10 @@ def _build_level_chain(fine: _Level, fine_lists: _Lists) -> _Chain:
     """
     levels: List[Tuple[_Level, _Lists, np.ndarray]] = []
     current, current_lists = fine, fine_lists
-    max_merge_weight = max(2, int(fine[3].sum()) // 32)
-    while len(current[0]) - 1 > _COARSEST:
+    max_merge_weight = max(2, int(fine.node_weights.sum()) // 32)
+    while len(current.indptr) - 1 > _COARSEST:
         coarse, mapping = _coarsen_csr(current, max_merge_weight)
-        if len(coarse[0]) - 1 >= 0.95 * (len(current[0]) - 1):
+        if len(coarse.indptr) - 1 >= 0.95 * (len(current.indptr) - 1):
             break  # matching is no longer making real progress
         levels.append((current, current_lists, mapping))
         current, current_lists = coarse, _flat_lists(coarse)
@@ -480,8 +531,8 @@ def _multilevel_csr(
     chain: _Chain,
     start: int,
     balance_slack: float,
-) -> Tuple[int, np.ndarray]:
-    """One V-cycle from a precomputed chain (twin: ``_multilevel``)."""
+) -> int:
+    """One V-cycle's cut from a precomputed chain (twin: ``_multilevel``)."""
     levels, coarsest, coarsest_lists = chain
     seed = start
     for _level, _lists, mapping in levels:
@@ -492,18 +543,83 @@ def _multilevel_csr(
         side = side[mapping]
         side = _fm_refine_csr(level, lists, side, balance_slack)
     side = _flow_refine_csr(fine, side, balance_slack)
-    return _cut_csr(fine, side), side
+    return _cut_csr(fine, side)
 
 
-def _unit_level(sub: CSRGraph) -> _Level:
-    """A CSR ball as a unit-weight flat level."""
-    n = sub.number_of_nodes()
-    return (
-        sub.indptr.astype(np.int64),
-        sub.indices.astype(np.int64),
-        np.ones(len(sub.indices), dtype=np.int64),
-        np.ones(n, dtype=np.int64),
+def _ball_level(fused: FusedBatch, b: int) -> _Level:
+    """Ball ``b`` of a fused batch as a unit-weight level, sliced from
+    the fused arrays (arc sources included)."""
+    lo = int(fused.node_offsets[b])
+    hi = int(fused.node_offsets[b + 1])
+    e_lo = int(fused.indptr[lo])
+    e_hi = int(fused.indptr[hi])
+    return _Level(
+        fused.indptr[lo : hi + 1] - e_lo,
+        fused.indices[e_lo:e_hi] - lo,
+        np.ones(e_hi - e_lo, dtype=np.int64),
+        np.ones(hi - lo, dtype=np.int64),
+        fused.arc_sources()[e_lo:e_hi] - lo,
     )
+
+
+def _fused_bisection_cuts(
+    fused: FusedBatch,
+    rng: random.Random,
+    trials: int,
+    balance_slack: float,
+    twin: Optional[Callable[[int], Optional[float]]] = None,
+) -> List[float]:
+    """Every ball's balanced-bisection cut, bitwise equal to a per-ball
+    :func:`repro.graph.partition.bisection_cut_size` loop on one rng.
+
+    The twin draws one start node per trial and nothing else, so every
+    ball's draws are replayed up front in schedule order.  Balls under
+    two nodes draw nothing and cut 0; exact-regime balls draw nothing
+    and are solved in that pass.  ``twin(b)``, when given, runs in ball
+    ``b``'s schedule position and returns the ball's value, or ``None``
+    to bisect it here — draws it makes land where a per-ball loop would
+    make them.  Then one fused BFS sweep per trial index grows every
+    ball's unit-weight side from its start (:func:`_fused_grown_cuts`),
+    so only the coarsening chain, FM and flow refinement run per ball.
+    Every candidate's cut is its side's cut, so a ball's value is the
+    minimum over its grown and V-cycle cuts.
+    """
+    trials = max(1, trials)
+    num_balls = len(fused)
+    offsets = fused.node_offsets.tolist()
+    cuts: List[float] = [0] * num_balls
+    starts = np.full((trials, num_balls), -1, dtype=np.int64)
+    heuristic: List[int] = []
+    for b in range(num_balls):
+        if twin is not None:
+            value = twin(b)
+            if value is not None:
+                cuts[b] = value
+                continue
+        lo = offsets[b]
+        n_b = offsets[b + 1] - lo
+        if n_b < 2:
+            continue
+        if n_b <= _EXACT_MAX:
+            cuts[b] = _exact_bipartition_csr(_ball_level(fused, b), balance_slack)
+            continue
+        starts[:, b] = [lo + rng.randrange(n_b) for _ in range(trials)]
+        heuristic.append(b)
+    if not heuristic:
+        return cuts
+
+    grown = np.full(num_balls, np.iinfo(np.int64).max, dtype=np.int64)
+    for t in range(trials):
+        _side, cuts_t = _fused_grown_cuts(fused, fused_bfs_levels(fused, starts[t]))
+        np.minimum(grown, cuts_t, out=grown)
+    for b in heuristic:
+        fine = _ball_level(fused, b)
+        chain = _build_level_chain(fine, _flat_lists(fine))
+        best = int(grown[b])
+        for start in (starts[:, b] - offsets[b]).tolist():
+            best = min(best, _multilevel_csr(fine, chain, start, balance_slack))
+        cuts[b] = best
+    return cuts
 
 
 def bisection_cut_csr(
@@ -514,31 +630,15 @@ def bisection_cut_csr(
 ) -> int:
     """Balanced-bipartition cut size of a CSR graph, bitwise equal to
     :func:`repro.graph.partition.bisection_cut_size` on the thawed
-    graph (same draws from ``rng``, same canonical tie-breaks).
+    graph (same draws from ``rng``, same canonical tie-breaks).  The
+    one-ball case of :func:`resilience_csr_batch`'s solver; a
+    disconnected graph is bisected as a whole, as the twin does.
     """
     rng = rng if rng is not None else random.Random(0)
     n = sub.number_of_nodes()
-    if n < 2:
-        return 0
-    fine = _unit_level(sub)
-    if n <= _EXACT_MAX:
-        cut, _side = _exact_bipartition_csr(fine, balance_slack)
-        return cut
-    fine_lists = _flat_lists(fine)
-    chain = _build_level_chain(fine, fine_lists)
-    best_cut: Optional[int] = None
-    best_side: Optional[np.ndarray] = None
-    for _ in range(max(1, trials)):
-        start = rng.randrange(n)
-        grown = _grow_from_csr(fine_lists, start)
-        grown_cut = _cut_csr(fine, grown)
-        cut, side = _multilevel_csr(fine, chain, start, balance_slack)
-        if grown_cut < cut:
-            cut, side = grown_cut, grown
-        if best_cut is None or cut < best_cut:
-            best_cut, best_side = cut, side
-    assert best_side is not None
-    return _cut_csr(fine, best_side)
+    fused = FusedBatch(BallBatch(sub, [np.arange(n, dtype=np.int64)]))
+    (cut,) = _fused_bisection_cuts(fused, rng, trials, balance_slack)
+    return int(cut)
 
 
 def resilience_csr_batch(
@@ -546,46 +646,34 @@ def resilience_csr_batch(
     rng: Optional[random.Random] = None,
     trials: int = 3,
 ) -> List[float]:
-    """Every ball's resilience, sharing one fused connectivity probe.
+    """Every ball's resilience: fused sweeps, then V-cycles per ball.
 
     Bitwise equal to ``[resilience_of(fused.sub_csr(b).thaw(), rng)
-    ...]`` on the same rng.  The bisection solver is a scalar multilevel
-    loop (its heap pop sequence *is* the algorithm), so each ball still
-    runs it separately — the batch wins are the single fused
-    connectivity sweep and the ``range``-labelled local CSR views that
-    skip ``sub_csr``'s node-label materialisation (the solver never
-    reads labels).  Draws stay sequential per ball in schedule order;
-    disconnected balls delegate to the dict twin in place.
+    ...]`` on the same rng.  One fused connectivity probe finds the
+    disconnected balls, which delegate to the dict twin in their
+    schedule position.  The rest go through
+    :func:`_fused_bisection_cuts`: draws replayed up front, one fused
+    BFS sweep per trial index for every ball's grown start side, and
+    only the coarsening chain, FM and flow refinement per ball.
     """
     rng = rng if rng is not None else random.Random(0)
     from repro.metrics.resilience import resilience_of  # deferred: layering
 
     num_balls = len(fused)
-    results: List[float] = [0.0] * num_balls
     if num_balls == 0:
-        return results
-    probe_sources = np.array(
-        [
-            int(fused.node_offsets[b]) if fused.ball_size(b) else -1
-            for b in range(num_balls)
-        ],
-        dtype=np.int64,
+        return []
+    probe_sources = np.where(
+        np.diff(fused.node_offsets) > 0, fused.node_offsets[:-1], -1
     )
     probe = fused_bfs_levels(fused, probe_sources)
-    for b in range(num_balls):
-        lo = int(fused.node_offsets[b])
-        hi = int(fused.node_offsets[b + 1])
-        n_b = hi - lo
-        if n_b == 0:
-            continue  # twin returns 0.0, no draws
-        if bool((probe[lo:hi] == UNREACHED).any()):
-            results[b] = resilience_of(
-                fused.sub_csr(b).thaw(), rng=rng, trials=trials
-            )
-            continue
-        if n_b < 2:
-            continue  # connected singleton: 0.0, no draws
-        results[b] = float(
-            bisection_cut_csr(fused.local_csr(b), rng=rng, trials=trials)
-        )
-    return results
+    split = np.bincount(
+        fused.ball_of_node[probe == UNREACHED], minlength=num_balls
+    ) > 0
+
+    def twin(b: int) -> Optional[float]:
+        if not split[b]:
+            return None
+        return resilience_of(fused.sub_csr(b).thaw(), rng=rng, trials=trials)
+
+    cuts = _fused_bisection_cuts(fused, rng, trials, 0.05, twin)
+    return [float(c) for c in cuts]

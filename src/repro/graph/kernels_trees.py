@@ -8,10 +8,13 @@ the same math over every ball of a
 batch of one):
 
 * one packed multi-source BFS sweep scores every ball's closeness
-  center;
+  center: each level merges the frontier's source masks into a reused
+  scratch array with ``np.bitwise_or.at`` and counts the fresh arrivals
+  with ``np.bitwise_count``, with no sort per level;
 * per root slot, one BFS, one ``np.minimum.at`` scatter for the
   min-index-parent trees and one vectorized binary-lifting LCA pass
-  give the integer sum over graph edges of their tree distance;
+  give the integer sum over graph edges of their tree distance (the
+  batch's arc sources are derived once and shared by every slot);
 * each ball's distortion is ``min(integer totals) / num_edges``,
   bitwise equal to the twin (IEEE division is monotone in the
   numerator, so the minima coincide).
@@ -67,12 +70,12 @@ def _fused_closeness_scores(
     if not flat_sources:
         return score
     src_arr = np.asarray(flat_sources, dtype=np.int64)
-    bits_arr = np.asarray(flat_bits, dtype=np.int64)
-    bit_ids = np.arange(int(bits_arr.max()) + 1, dtype=np.int64)
+    bits = np.int64(1) << np.asarray(flat_bits, dtype=np.int64)
     visited = np.zeros(n, dtype=np.int64)
     frontier_mask = np.zeros(n, dtype=np.int64)
-    np.bitwise_or.at(visited, src_arr, np.int64(1) << bits_arr)
-    np.bitwise_or.at(frontier_mask, src_arr, np.int64(1) << bits_arr)
+    np.bitwise_or.at(visited, src_arr, bits)
+    np.bitwise_or.at(frontier_mask, src_arr, bits)
+    merged = np.zeros(n, dtype=np.int64)  # scratch, all-zero between levels
     frontier = np.unique(src_arr)
     indptr, indices = fused.indptr, fused.indices
     depth = 0
@@ -80,16 +83,15 @@ def _fused_closeness_scores(
         neighbors, counts = _gather_rows(indptr, indices, frontier)
         if not neighbors.size:
             break
-        masks = np.repeat(frontier_mask[frontier], counts)
-        frontier_mask[frontier] = 0
-        order = np.argsort(neighbors, kind="stable")
-        targets = neighbors[order].astype(np.int64)
-        starts = np.flatnonzero(
-            np.concatenate(([True], targets[1:] != targets[:-1]))
+        # Frontier masks are never zero, so every neighbor ends up with
+        # a nonzero merged mask and flatnonzero finds them all, sorted.
+        np.bitwise_or.at(
+            merged, neighbors, np.repeat(frontier_mask[frontier], counts)
         )
-        merged = np.bitwise_or.reduceat(masks[order], starts)
-        targets = targets[starts]
-        fresh = merged & ~visited[targets]
+        frontier_mask[frontier] = 0
+        targets = np.flatnonzero(merged)
+        fresh = merged[targets] & ~visited[targets]
+        merged[targets] = 0
         keep = fresh != 0
         if not np.any(keep):
             break
@@ -98,8 +100,7 @@ def _fused_closeness_scores(
         fresh = fresh[keep]
         visited[targets] |= fresh
         frontier_mask[targets] = fresh
-        arrivals = ((fresh[:, None] >> bit_ids[None, :]) & 1).sum(axis=1)
-        score[targets] += depth * arrivals
+        score[targets] += depth * np.bitwise_count(fresh).astype(np.int64)
         frontier = targets
     return score
 
@@ -116,7 +117,7 @@ def _fused_parents(fused: FusedBatch, dist: np.ndarray) -> np.ndarray:
     machinery maps any out-of-range parent to "self".
     """
     n = int(fused.node_offsets[-1])
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fused.indptr))
+    src = fused.arc_sources()
     dst = fused.indices
     up_edge = dist[dst] == dist[src] - 1
     parent = np.full(n, n, dtype=np.int64)
@@ -141,7 +142,7 @@ def _fused_tree_totals(
     num_balls = len(fused)
     totals = np.zeros(num_balls, dtype=np.int64)
     n = int(fused.node_offsets[-1])
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(fused.indptr))
+    src = fused.arc_sources()
     dst = fused.indices
     once = src < dst
     a0 = src[once]

@@ -340,7 +340,7 @@ class CoalescingScheduler:
         except TypeError as exc:
             raise ProtocolError(ERR_FAILED, str(exc)) from exc
         csr, fingerprint = self.graphs.load(request.payload["graph"])
-        key = cache_key(fingerprint, name, resolved)
+        key = cache_key(fingerprint, name, resolved, csr)
         return Job(
             request=request,
             token=key,
@@ -358,7 +358,7 @@ class CoalescingScheduler:
         keys = []
         for req in reqs:
             resolved = METRICS[req.name].resolve_params(req.params)
-            keys.append(cache_key(fingerprint, req.name, resolved) or "-")
+            keys.append(cache_key(fingerprint, req.name, resolved, csr) or "-")
         return Job(
             request=request,
             token="signature|" + "|".join(keys),

@@ -851,8 +851,10 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
     * *flow* — Edmonds–Karp vs. Dinic (the residual side must certify
       the flow), exactness under capacities scaled past int64, one
       greedy-order coarsening step vs. the dict twin's handshake
-      matching on a random weighted level, and ``bisection_cut_csr``
-      vs. the dict partitioner under a shared RNG stream;
+      matching on a random weighted level, ``bisection_cut_csr``
+      vs. the dict partitioner under a shared RNG stream, and the
+      batched unit-weight grown sides and cuts of a fused batch vs.
+      the dict ``_grow_from`` from every start of every ball;
     * *segmented kernels* — every kernel over a
       :class:`~repro.graph.kernels.FusedBatch`, sliced back per ball, vs.
       the dict oracle on ``sub_csr(i).thaw()``; the whole (possibly
@@ -937,9 +939,11 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
         indptr = np.cumsum([0] + [len(nbrs) for nbrs in wadj])
         indices = [v for nbrs in wadj for v in sorted(nbrs)]
         weights = [nbrs[v] for nbrs in wadj for v in sorted(nbrs)]
-        return tuple(
-            np.asarray(x, dtype=np.int64)
-            for x in (indptr, indices, weights, node_w)
+        return flow_mod._level(
+            *(
+                np.asarray(x, dtype=np.int64)
+                for x in (indptr, indices, weights, node_w)
+            )
         )
 
     coarse, mapping = flow_mod._coarsen_csr(as_level(wadj, node_w), cap)
@@ -1021,6 +1025,31 @@ def _check_kernels(rng: random.Random, report: FamilyReport) -> None:
                 f"batch_biconnected_counts != count_biconnected_components "
                 f"on ball {i}"
             )
+
+    # --- flow: batched grown starts == the dict twin's _grow_from -----
+    # Every start of every ball, so the check draws nothing from ``rng``.
+    report.checks += 1
+    sizes = [fused.ball_size(i) for i in range(len(fused))]
+    wadjs = [
+        [{v: 1 for v in nbrs} for nbrs in ball.adjacency_lists()[0]]
+        for ball in balls
+    ]
+    for s in range(max(sizes, default=0)):
+        starts = [
+            int(fused.node_offsets[i]) + s % n_b if n_b else -1
+            for i, n_b in enumerate(sizes)
+        ]
+        side, grown_cuts = flow_mod._fused_grown_cuts(
+            fused, kernels_mod.fused_bfs_levels(fused, np.asarray(starts))
+        )
+        for i, n_b in enumerate(sizes):
+            if not n_b:
+                continue
+            want = partition_mod._grow_from(wadjs[i], [1] * n_b, s % n_b)
+            if side[fused.ball_slice(i)].tolist() != want:
+                fail(f"batched grown side != dict _grow_from on ball {i}")
+            elif int(grown_cuts[i]) != partition_mod._cut_size(wadjs[i], want):
+                fail(f"batched grown cut != dict _cut_size on ball {i}")
 
     # --- batch metric entry points: one shared RNG stream -------------
     for name, run_batch, run_dict in (

@@ -6,6 +6,8 @@ across workers, standalone or batched with other metrics, fresh or from
 the on-disk cache, and identical to the legacy per-metric functions.
 """
 
+import copy
+
 import pytest
 
 from repro.engine import (
@@ -32,6 +34,7 @@ from repro.metrics import (
     resilience,
     vertex_cover_series,
 )
+from repro.routing.policy import PEER
 
 SEED = 7
 BALL_PARAMS = dict(num_centers=4, max_ball_size=200, seed=SEED)
@@ -278,22 +281,36 @@ def test_edge_change_misses_cache(tmp_path):
     assert eng.stats["cache_misses"] == 2
 
 
-def test_policy_requests_bypass_cache(tmp_path):
+def test_policy_requests_hit_cache_keyed_on_arc_codes(tmp_path):
+    """AS(Policy) requests cache on the annotation's arc encoding: a
+    second compute is all hits and bitwise equal to the first, and
+    flipping one arc's relationship is a miss."""
     as_graph = synthetic_as_graph(ASGraphParams(n=150), seed=4)
-    eng = cached_engine(tmp_path)
-    for _ in range(2):
-        eng.compute_one(
-            as_graph.graph,
-            "clustering",
-            num_centers=3,
-            max_ball_size=100,
-            rels=as_graph.relationships,
-            seed=1,
+    graph, rels = as_graph.graph, as_graph.relationships
+    requests = [
+        MetricRequest(
+            name, num_centers=3, max_ball_size=100, rels=rels, seed=1
         )
-    # Relationships have no stable content hash: never cached.
-    assert eng.stats["cache_hits"] == 0
-    assert eng.stats["cache_misses"] == 0
-    assert list(tmp_path.glob("*.json")) == []
+        for name in ("expansion", "resilience", "distortion")
+    ]
+    eng = cached_engine(tmp_path)
+    first = eng.compute(graph, requests)
+    assert eng.stats["cache_misses"] == 3
+    second = eng.compute(graph, requests)
+    assert eng.stats["cache_hits"] == 3
+    assert repr(second) == repr(first)
+
+    u, v = next(iter(graph.iter_edges()))
+    flipped = copy.deepcopy(rels)
+    if rels.rel(u, v) == PEER:
+        flipped.set_provider_customer(u, v)
+    else:
+        flipped.set_peer(u, v)
+    eng.compute_one(
+        graph, "resilience", num_centers=3, max_ball_size=100, rels=flipped, seed=1
+    )
+    assert eng.stats["cache_hits"] == 3
+    assert eng.stats["cache_misses"] == 4
 
 
 def test_clear_cache(tmp_path):

@@ -213,6 +213,43 @@ def test_disconnected_balls_take_the_dict_fallback(graph, members):
     assert_fused_matches_per_ball(batch, fused, seed=29)
 
 
+def test_resilience_replays_every_ball_kind_in_schedule_order():
+    """One batch of every ball kind the bisection treats differently.
+    Empty, singleton and exact-regime balls draw nothing; disconnected
+    balls delegate to the dict twin in their schedule position (one
+    with an exact-regime, one with a heuristic largest component);
+    large balls draw their starts up front.  Values and the final RNG
+    state equal a per-ball ``resilience_of`` loop."""
+    g = Graph(name="grid")
+    for r in range(10):
+        for c in range(10):
+            if c:
+                g.add_edge(10 * r + c - 1, 10 * r + c)
+            if r:
+                g.add_edge(10 * (r - 1) + c, 10 * r + c)
+    members = [
+        list(range(100)),  # large
+        [],  # empty
+        [55],  # singleton
+        list(range(12)),  # exact regime, connected
+        list(range(40)) + [99],  # disconnected, heuristic component
+        list(range(50)),  # large
+        [0, 1, 2, 97, 98, 99],  # disconnected, exact-regime component
+        list(range(30)),  # large
+    ]
+    batch, fused = fuse(
+        g.freeze(), [np.array(m, dtype=np.int64) for m in members]
+    )
+    dict_rng, batch_rng = random.Random(41), random.Random(41)
+    want = [
+        resilience_of(batch.sub_csr(i).thaw(), rng=dict_rng, trials=3)
+        for i in range(len(batch))
+    ]
+    got = resilience_csr_batch(fused, rng=batch_rng, trials=3)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert batch_rng.getstate() == dict_rng.getstate()
+
+
 def test_fused_offsets_survive_the_int32_boundary():
     node_offsets, edge_offsets = _fused_offsets([2**30] * 3, [2**31] * 3)
     assert node_offsets.dtype == np.int64

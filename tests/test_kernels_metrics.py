@@ -15,7 +15,8 @@ that contract three ways:
   subset-enumeration min-cut oracle, with the residual-reachable side
   required to *certify* the flow value;
 * level twins: one coarsening step and one BFS growth of the CSR
-  bisection against the dict partitioner's, on random weighted levels;
+  bisection against the dict partitioner's, on random weighted levels,
+  and the batched fine-level growth against the per-ball one;
 * structural properties: batching balls in arbitrary groups never
   changes a single byte of any per-ball result, and the flow solver is
   exact at capacities past the int64 range.
@@ -35,8 +36,11 @@ from repro.graph.flow import Dinic
 from repro.graph import partition
 from repro.graph.kernels_flow import (
     _coarsen_csr,
+    _cut_csr,
     _flat_lists,
+    _fused_grown_cuts,
     _grow_from_csr,
+    _level,
     bisection_cut_csr,
     max_flow_min_cut,
     resilience_csr_batch,
@@ -266,9 +270,11 @@ def as_level(adj, node_weights):
             indices.append(v)
             weights.append(nbrs[v])
         indptr.append(len(indices))
-    return tuple(
-        np.asarray(x, dtype=np.int64)
-        for x in (indptr, indices, weights, node_weights)
+    return _level(
+        *(
+            np.asarray(x, dtype=np.int64)
+            for x in (indptr, indices, weights, node_weights)
+        )
     )
 
 
@@ -294,6 +300,41 @@ def test_grow_level_twin(level, data):
     lists = _flat_lists(as_level(adj, node_weights))
     got = _grow_from_csr(lists, start)
     assert got.tolist() == partition._grow_from(adj, node_weights, start)
+
+
+@given(connected_graphs(), st.data())
+def test_fused_grown_starts_twin(g, data):
+    """The batched fine-level grow equals the per-ball twin: on a batch
+    of connected balls, every trial's fused grown side of each ball is
+    ``_grow_from_csr`` from that ball's start, and its grown cut is
+    ``_cut_csr`` of that side."""
+    csr = g.freeze()
+    balls = _ball_list(csr, random.Random(data.draw(st.integers(0, 2**16))))
+    balls.append(np.arange(csr.number_of_nodes(), dtype=np.int64))
+    batch = kernels.BallBatch(csr, balls)
+    fused = kernels.FusedBatch(batch)
+    fines = []
+    for b in range(len(fused)):
+        sub = batch.sub_csr(b)
+        fines.append(
+            _level(
+                sub.indptr.astype(np.int64),
+                sub.indices.astype(np.int64),
+                np.ones(sub.indices.size, dtype=np.int64),
+                np.ones(sub.number_of_nodes(), dtype=np.int64),
+            )
+        )
+    for _trial in range(data.draw(st.integers(1, 3))):
+        local = [
+            data.draw(st.integers(0, fused.ball_size(b) - 1))
+            for b in range(len(fused))
+        ]
+        starts = fused.node_offsets[:-1] + np.asarray(local, dtype=np.int64)
+        side, cuts = _fused_grown_cuts(fused, kernels.fused_bfs_levels(fused, starts))
+        for b, fine in enumerate(fines):
+            want = _grow_from_csr(_flat_lists(fine), local[b])
+            assert side[fused.ball_slice(b)].tolist() == want.tolist()
+            assert int(cuts[b]) == _cut_csr(fine, want)
 
 
 # ----------------------------------------------------------------------

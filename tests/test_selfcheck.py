@@ -228,6 +228,26 @@ def test_selfcheck_catches_kernel_cut_off_by_one(monkeypatch):
     assert "bisection" in messages or "resilience" in messages
 
 
+def test_selfcheck_catches_batched_grown_cut_off_by_one(monkeypatch):
+    """Flow sub-stream: a planted +1 in the batched grown-start cuts is
+    caught by the twin check against the dict ``_grow_from``."""
+    from repro.graph import kernels_flow
+
+    real = kernels_flow._fused_grown_cuts
+
+    def off_by_one(fused, dist):
+        side, cuts = real(fused, dist)
+        return side, cuts + 1
+
+    monkeypatch.setattr(kernels_flow, "_fused_grown_cuts", off_by_one)
+    report = run_selfcheck(
+        rounds=5, seed=0, families=["kernels"], out=lambda _: None
+    )
+    assert not report.ok
+    messages = " ".join(f.message for f in report.families[0].failures)
+    assert "grown cut" in messages
+
+
 def test_selfcheck_catches_kernel_bigint_fallback_off_by_one(monkeypatch):
     """Flow sub-stream: a max-flow solver that drifts by one only past
     the int64 range is caught by the capacity-scaling check, proving
